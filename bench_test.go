@@ -507,7 +507,7 @@ func BenchmarkMountFullFile(b *testing.B) {
 	uri := m.Files[0].URI
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ad.Mount(m.Path(uri), uri, nil); err != nil {
+		if _, err := catalog.CollectMount(ad, m.Path(uri), uri, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -206,9 +206,9 @@ func printEngineStats(eng *core.Engine) {
 		cs.Entries, unit.FormatBytes(cs.BytesResident), cs.Hits, cs.Misses, cs.Evictions)
 	if rc := eng.ResultCache(); rc != nil {
 		rs := rc.Stats()
-		fmt.Printf("result cache: %d entries (%s), %d hits, %d riders, %d misses; %d stores, %d rejected, %d evictions (%d self); epoch %d (%d invalidated)\n",
+		fmt.Printf("result cache: %d entries (%s), %d hits, %d riders, %d misses; %d stores, %d rejected, %d evictions; epoch %d (%d invalidated)\n",
 			rs.Entries, unit.FormatBytes(rs.BytesResident), rs.Hits, rs.Riders, rs.Misses,
-			rs.Stores, rs.RejectedStores, rs.Evictions, rs.SelfEvictions, rs.Epoch, rs.Invalidations)
+			rs.Stores, rs.RejectedStores, rs.Evictions, rs.Epoch, rs.Invalidations)
 		fmt.Printf("  subsumption: %d probes, %d hits, %s re-execution avoided, %v re-filtering\n",
 			rs.SubsumptionProbes, rs.SubsumptionHits,
 			unit.FormatBytes(rs.SubsumptionBytesSaved), rs.RefilterWall.Round(time.Microsecond))

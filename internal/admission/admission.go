@@ -1,8 +1,7 @@
-// Package admission is the engine's shared fairness-aware byte-budget
-// gate: the one admission abstraction behind both the mount service's
-// in-flight extraction budget and the result cache's resident-bytes
-// budget. It replaces the hand-rolled condition-variable gates those
-// layers used to carry, which had two load-bearing bugs:
+// Package admission is the engine's fairness-aware byte-budget gate,
+// behind the mount service's in-flight extraction budget. It replaces
+// the hand-rolled condition-variable gate that layer used to carry,
+// which had two load-bearing bugs:
 //
 //   - Uncancellable waits: a request blocked on the budget had no way
 //     out, even though the work it was admitting (flights, queries) was
@@ -15,21 +14,11 @@
 //     request never passes an earlier one that is still blocked on the
 //     byte budget.
 //
-// On top of the budget the gate enforces per-session quotas (an absolute
-// byte cap, a fractional max share of the budget, or both): a session at
-// its quota blocks only itself — its tickets are passed over in the
-// admission scan, never the tickets queued behind them — so one greedy
-// dashboard cannot hold the whole budget while interactive explorers
-// wait.
-//
-// Two usage modes share the same accounting:
-//
-//   - Blocking: Acquire/Release, used by the mount service, where
-//     admission backpressures extraction.
-//   - Charging: Charge/Release, used by the result cache, where entries
-//     are always accepted and the budget instead drives eviction;
-//     OverShare tells the evictor whether a session's resident bytes
-//     exceed its quota, so a fat session's entries are evicted first.
+// On top of the budget the gate enforces a per-session quota, a
+// fractional max share of the budget: a session at its quota blocks
+// only itself — its tickets are passed over in the admission scan, never
+// the tickets queued behind them — so one greedy dashboard cannot hold
+// the whole budget while interactive explorers wait.
 package admission
 
 import (
@@ -47,14 +36,10 @@ type Config struct {
 	// nothing else is held, so it can never deadlock but may exceed the
 	// budget alone.
 	BudgetBytes int64
-	// SessionQuotaBytes caps the bytes one session may hold at once;
-	// <= 0 means no absolute cap. A single request larger than the quota
-	// is admitted when the session holds nothing, mirroring the
-	// oversized-budget rule.
-	SessionQuotaBytes int64
 	// MaxSessionShare caps one session's holdings as a fraction of
-	// BudgetBytes (0 < share <= 1); <= 0 means no share cap. When both
-	// this and SessionQuotaBytes are set, the smaller cap wins.
+	// BudgetBytes (0 < share <= 1); <= 0 means no cap. A single request
+	// larger than the quota is admitted when the session holds nothing,
+	// mirroring the oversized-budget rule.
 	MaxSessionShare float64
 }
 
@@ -64,8 +49,8 @@ type SessionStats struct {
 	// admitted bytes.
 	HeldBytes     int64
 	PeakHeldBytes int64
-	// Acquires counts granted admissions (including charges); Waits
-	// counts acquires that had to queue.
+	// Acquires counts granted admissions; Waits counts acquires that
+	// had to queue.
 	Acquires int64
 	Waits    int64
 	// Cancelled counts waits abandoned via context cancellation.
@@ -132,15 +117,8 @@ type ticket struct {
 // New returns a gate over the configuration.
 func New(cfg Config) *Gate {
 	g := &Gate{cfg: cfg, sessions: make(map[string]*sessionState)}
-	g.quota = cfg.SessionQuotaBytes
 	if cfg.MaxSessionShare > 0 && cfg.BudgetBytes > 0 {
-		byShare := int64(cfg.MaxSessionShare * float64(cfg.BudgetBytes))
-		if byShare < 1 {
-			byShare = 1
-		}
-		if g.quota <= 0 || byShare < g.quota {
-			g.quota = byShare
-		}
+		g.quota = max(int64(cfg.MaxSessionShare*float64(cfg.BudgetBytes)), 1)
 	}
 	return g
 }
@@ -316,19 +294,6 @@ func (g *Gate) noteWait(s *sessionState, d time.Duration) {
 	g.mu.Unlock()
 }
 
-// Charge admits n bytes to the session unconditionally, never blocking
-// and never queueing — the accounting mode for callers (the result
-// cache) that accept first and evict to get back under budget. The
-// charge still counts toward the session's quota, steering OverShare.
-func (g *Gate) Charge(session string, n int64) {
-	if n < 0 {
-		n = 0
-	}
-	g.mu.Lock()
-	g.grantLocked(g.session(session), n)
-	g.mu.Unlock()
-}
-
 // Release gives back n bytes held by the session and hands the freed
 // capacity to the queue head. Releasing bytes never acquired is a
 // caller bug (a double release) and panics loudly rather than silently
@@ -365,20 +330,6 @@ func (g *Gate) SessionHeld(session string) int64 {
 		return s.HeldBytes
 	}
 	return 0
-}
-
-// OverShare reports whether the session's holdings exceed its quota —
-// the evictor's signal to take that session's entries first.
-func (g *Gate) OverShare(session string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.quota <= 0 {
-		return false
-	}
-	if s, ok := g.sessions[session]; ok {
-		return s.HeldBytes > g.quota
-	}
-	return false
 }
 
 // Quota returns the effective per-session byte cap (0 = none).

@@ -180,7 +180,7 @@ func TestOversizedRequestAdmittedAlone(t *testing.T) {
 // TestQuotaBlocksOnlyItself: a session at its quota is passed over in
 // the admission scan; sessions queued behind it are admitted.
 func TestQuotaBlocksOnlyItself(t *testing.T) {
-	g := New(Config{BudgetBytes: 100, SessionQuotaBytes: 40})
+	g := New(Config{BudgetBytes: 100, MaxSessionShare: 0.4})
 	if err := g.Acquire(context.Background(), "greedy", 40); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestQuotaBlocksOnlyItself(t *testing.T) {
 // own session's releases can ever admit it, so it must be skipped, not
 // treated as a strict-FIFO budget head that stalls everyone behind it.
 func TestQuotaAndBudgetBlockedHeadDoesNotStallQueue(t *testing.T) {
-	g := New(Config{BudgetBytes: 1000, SessionQuotaBytes: 400})
+	g := New(Config{BudgetBytes: 1000, MaxSessionShare: 0.4})
 	if err := g.Acquire(context.Background(), "greedy", 400); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRandomizedMultiSessionDifferential(t *testing.T) {
 		workers  = 3
 		rounds   = 60
 	)
-	g := New(Config{BudgetBytes: budget, SessionQuotaBytes: quota})
+	g := New(Config{BudgetBytes: budget, MaxSessionShare: float64(quota) / budget})
 
 	// model tracks what the test itself granted, independently of the
 	// gate's internal accounting.

@@ -154,14 +154,11 @@ type FormatAdapter interface {
 	// file-level row and one row per record. No actual data may be
 	// decoded; this is the cheap first-stage primitive.
 	ExtractMetadata(path, uri string) (FileMeta, []RecordMeta, error)
-	// Mount extracts, transforms and returns the actual-data rows of the
-	// file as a batch matching the data table definition. When keep is
-	// non-nil, records whose metadata fails it may be skipped without
-	// decoding (the fused σ∘mount access path).
-	Mount(path, uri string, keep func(RecordMeta) bool) (*vector.Batch, error)
-	// MountStream is the streaming form of Mount: instead of
-	// materializing the whole file it yields batches of rows through
-	// emit, in file order, as extraction progresses. Batches are
+	// MountStream extracts and transforms the actual-data rows of the
+	// file, matching the data table definition, and yields them in
+	// batches through emit, in file order, as extraction progresses.
+	// When keep is non-nil, records whose metadata fails it may be
+	// skipped without decoding (the fused σ∘mount access path). Batches are
 	// record-aligned — a batch never splits one record's rows — and hold
 	// at most batchRows rows except when a single record alone exceeds
 	// that (record alignment wins). batchRows <= 0 selects
@@ -177,9 +174,8 @@ type FormatAdapter interface {
 	RecordSpan(rm RecordMeta) (lo, hi int64, ok bool)
 }
 
-// CollectMount drains an adapter's MountStream into a single batch: the
-// materializing Mount behaviour, shared by adapter implementations so
-// the two entry points cannot diverge.
+// CollectMount drains an adapter's MountStream into a single batch, for
+// callers that need the whole file at once.
 func CollectMount(a FormatAdapter, path, uri string, keep func(RecordMeta) bool) (*vector.Batch, error) {
 	var out *vector.Batch
 	err := a.MountStream(path, uri, keep, int(^uint(0)>>1), func(b *vector.Batch) error {

@@ -89,9 +89,6 @@ func (f *fakeAdapter) RecordSpan(RecordMeta) (int64, int64, bool) { return 0, 0,
 func (f *fakeAdapter) ExtractMetadata(path, uri string) (FileMeta, []RecordMeta, error) {
 	return FileMeta{}, nil, nil
 }
-func (f *fakeAdapter) Mount(path, uri string, keep func(RecordMeta) bool) (*vector.Batch, error) {
-	return nil, nil
-}
 func (f *fakeAdapter) MountStream(path, uri string, keep func(RecordMeta) bool, batchRows int, emit func(*vector.Batch) error) error {
 	return nil
 }

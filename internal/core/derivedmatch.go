@@ -58,33 +58,16 @@ func (e *Engine) tryDerivedAnswer(p *Prepared, bp *Breakpoint) (*Result, bool) {
 
 	// The join must pair D rows with Qf rows on both uri and record id, so
 	// each record of interest appears exactly once in the Qf result.
-	uriCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, actual.Binding, e.adapter.URIColumn())
-	if err != nil {
-		return nil, false
-	}
-	ridCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, actual.Binding, e.adapter.RecordIDColumn())
-	if err != nil {
-		return nil, false
-	}
-	hints, ok := e.adapter.(EstimateHints)
+	rc, _, ok := e.qfRecordColumns(p, bp, actual.Binding)
 	if !ok {
-		return nil, false
-	}
-	loName, hiName := hints.RecordSpanColumns()
-
-	uriIdx := bp.qfResult.Column(uriCol)
-	ridIdx := bp.qfResult.Column(ridCol)
-	loIdx := bp.qfResult.Column(loName)
-	hiIdx := bp.qfResult.Column(hiName)
-	if uriIdx < 0 || ridIdx < 0 || loIdx < 0 || hiIdx < 0 {
 		return nil, false
 	}
 	var refs []derived.RecordRef
 	for _, b := range bp.qfResult.Batches {
-		uris := b.Cols[uriIdx].Strings()
-		rids := b.Cols[ridIdx].Int64s()
-		los := b.Cols[loIdx].Int64s()
-		his := b.Cols[hiIdx].Int64s()
+		uris := b.Cols[rc.uri].Strings()
+		rids := b.Cols[rc.rid].Int64s()
+		los := b.Cols[rc.lo].Int64s()
+		his := b.Cols[rc.hi].Int64s()
 		for i := range uris {
 			refs = append(refs, derived.RecordRef{
 				URI: uris[i], RecordID: rids[i], SpanLo: los[i], SpanHi: his[i],

@@ -110,14 +110,11 @@ type Options struct {
 	// instead of OOMing the server; a single file larger than the whole
 	// budget is admitted alone. <= 0 means unlimited.
 	MountBudgetBytes int64
-	// MountSessionQuotaBytes caps the mount-budget bytes one session
-	// (see Engine.QueryAs) may hold at once; <= 0 means no cap.
-	MountSessionQuotaBytes int64
-	// MountMaxSessionShare caps one session's mount-budget holdings as a
-	// fraction of MountBudgetBytes (0 < share <= 1); <= 0 means no cap.
-	// With both caps set the smaller wins. Either way a session at its
-	// quota blocks only itself: its requests are passed over in the
-	// admission scan, never the sessions queued behind them.
+	// MountMaxSessionShare caps one session's (see Engine.QueryAs)
+	// mount-budget holdings as a fraction of MountBudgetBytes
+	// (0 < share <= 1); <= 0 means no cap. A session at its quota blocks
+	// only itself: its requests are passed over in the admission scan,
+	// never the sessions queued behind them.
 	MountMaxSessionShare float64
 	// ResultCacheBytes enables the engine-wide result cache: completed
 	// query results are retained frozen, keyed by canonical plan
@@ -127,16 +124,6 @@ type Options struct {
 	// result bytes; < 0 enables with no bound; 0 (the default) disables
 	// the cache, keeping the paper-reproduction measurements honest.
 	ResultCacheBytes int64
-	// ResultCacheMinCost gates result-cache admission: results whose
-	// recompute-cost signal (breakpoint estimate or measured modeled
-	// time) is below it are not retained. 0 admits everything.
-	ResultCacheMinCost time.Duration
-	// ResultCacheMaxSessionShare caps one session's resident result
-	// bytes as a fraction of ResultCacheBytes: a session over its share
-	// evicts its own oldest results first, so one dashboard's fat
-	// results cannot push out everyone else's. <= 0 disables the
-	// preference (plain global LRU).
-	ResultCacheMaxSessionShare float64
 	// ResultCacheSubsumption turns on semantic result caching: on an
 	// exact-fingerprint miss, a wider cached result whose predicate
 	// provably contains the query's (predicate subsumption over
@@ -271,11 +258,7 @@ func Open(opts Options) (*Engine, error) {
 		if budget < 0 {
 			budget = 0 // unlimited
 		}
-		rcCfg := resultcache.Config{
-			MaxBytes:        budget,
-			MinCost:         opts.ResultCacheMinCost,
-			MaxSessionShare: opts.ResultCacheMaxSessionShare,
-		}
+		rcCfg := resultcache.Config{MaxBytes: budget}
 		if opts.SpillDir != "" {
 			rcCfg.SpillDir = filepath.Join(opts.SpillDir, "results")
 			rcCfg.DiskMaxBytes = opts.ResultCacheDiskBytes
@@ -295,12 +278,11 @@ func Open(opts Options) (*Engine, error) {
 	// path, so concurrent identical queries coalesce onto single flights
 	// and the admission budget holds across the whole engine.
 	svcCfg := mountsvc.Config{
-		RepoDir:           opts.RepoDir,
-		Pool:              pool,
-		Cache:             e.cache,
-		BudgetBytes:       opts.MountBudgetBytes,
-		SessionQuotaBytes: opts.MountSessionQuotaBytes,
-		MaxSessionShare:   opts.MountMaxSessionShare,
+		RepoDir:         opts.RepoDir,
+		Pool:            pool,
+		Cache:           e.cache,
+		BudgetBytes:     opts.MountBudgetBytes,
+		MaxSessionShare: opts.MountMaxSessionShare,
 	}
 	if opts.SpillDir != "" && opts.SpillThresholdBytes > 0 {
 		svcCfg.SpillDir = filepath.Join(opts.SpillDir, "flights")

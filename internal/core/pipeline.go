@@ -34,8 +34,8 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 
 // PrepareAs is Prepare with an execution identity: ctx cancels the
 // query's waits on the mount admission budget, and session is the
-// identity its mounts and result-cache stores are attributed to — the
-// unit of the engine's per-session quotas and fairness statistics.
+// identity its mounts are attributed to — the unit of the engine's
+// per-session quota and fairness statistics.
 func (e *Engine) PrepareAs(ctx context.Context, session, sqlText string) (*Prepared, error) {
 	// parse
 	stmt, err := sql.Parse(sqlText)
@@ -117,9 +117,8 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 // QueryAs is Query under an execution identity: ctx unblocks the query
 // promptly if it is cancelled while waiting on the mount admission
 // budget (holding nothing it never acquired), and session threads
-// through to the mount service's per-session quotas and the result
-// cache's per-session eviction — the fairness unit that keeps one
-// greedy session from starving the rest.
+// through to the mount service's per-session quota — the fairness unit
+// that keeps one greedy session from starving the rest.
 func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result, error) {
 	p, err := e.PrepareAs(ctx, session, sqlText)
 	if err != nil {
@@ -133,24 +132,24 @@ func (e *Engine) QueryAs(ctx context.Context, session, sqlText string) (*Result,
 	var mat *exec.Materialized
 	var out resultcache.Outcome
 	for {
-		mat, out, err = e.results.Do(p.Fingerprint, session, p.sub, func() (*exec.Materialized, time.Duration, error) {
+		mat, out, err = e.results.Do(p.Fingerprint, p.sub, func() (*exec.Materialized, bool, error) {
 			// The flight publishes and stores the result; the stages must
 			// not offer it a second time.
 			p.inFlight = true
 			// Semantic probe before executing: a wider cached entry that
 			// contains this query re-filters in memory — zero mounts — and
-			// the flight publishes (and cost permitting retains) the slice
-			// under this query's own fingerprint.
-			if res, cost, ok := e.probeSubsumption(p); ok {
+			// the flight publishes (and unless it is the whole wider entry
+			// retains) the slice under this query's own fingerprint.
+			if res, store, ok := e.probeSubsumption(p); ok {
 				leader = res
-				return res.Mat, cost, nil
+				return res.Mat, store, nil
 			}
 			res, err := p.run()
 			if err != nil {
-				return nil, 0, err
+				return nil, false, err
 			}
 			leader = res
-			return res.Mat, recomputeCost(res), nil
+			return res.Mat, true, nil
 		})
 		if err == nil {
 			break
@@ -194,16 +193,15 @@ func (e *Engine) probeResultCache(p *Prepared) (*Result, bool) {
 		}
 		return res, true
 	}
-	res, cost, ok := e.probeSubsumption(p)
+	res, store, ok := e.probeSubsumption(p)
 	if !ok {
 		return nil, false
 	}
 	// Retain the slice under the narrow query's own fingerprint so its
-	// next repetition is an exact O(1) hit — cost-gated, and declined
-	// outright when the re-filter trimmed nothing (the slice would only
-	// duplicate its source entry).
-	if cost != resultcache.DoNotStore {
-		e.results.PutAt(p.Fingerprint, p.session, res.Mat, cost, p.startEpoch, p.sub)
+	// next repetition is an exact O(1) hit — unless the re-filter trimmed
+	// nothing (the slice would only duplicate its source entry).
+	if store {
+		e.results.PutAt(p.Fingerprint, res.Mat, p.startEpoch, p.sub)
 	}
 	return res, true
 }
@@ -212,21 +210,21 @@ func (e *Engine) probeResultCache(p *Prepared) (*Result, bool) {
 // hit, re-filters the wider frozen entry through the executor's
 // share-based result-scan path: zero file mounts, O(1) copies for
 // batches the re-filter passes whole. It returns the served result and
-// the cost signal for retaining the slice as its own entry —
-// resultcache.DoNotStore when the re-filter removed nothing.
-func (e *Engine) probeSubsumption(p *Prepared) (*Result, time.Duration, bool) {
+// whether to retain the slice as its own entry: not when the re-filter
+// removed nothing.
+func (e *Engine) probeSubsumption(p *Prepared) (*Result, bool, bool) {
 	if e.results == nil || p.sub == nil {
-		return nil, 0, false
+		return nil, false, false
 	}
 	hit, ok := e.results.GetSubsuming(p.Fingerprint, p.sub)
 	if !ok {
-		return nil, 0, false
+		return nil, false, false
 	}
 	start := time.Now()
 	env := e.newExecEnv(nil, nil)
 	served, err := exec.ServeSubsumedResult(hit.Mat, p.sub.Refilter, hit.Bytes, env)
 	if err != nil {
-		return nil, 0, false
+		return nil, false, false
 	}
 	wall := time.Since(start)
 	e.results.NoteRefilter(wall, hit.Bytes)
@@ -240,18 +238,13 @@ func (e *Engine) probeSubsumption(p *Prepared) (*Result, time.Duration, bool) {
 	st.Stage1Wall = wall
 	st.TotalWall = wall
 	res := &Result{Columns: columnNames(served.Schema), Mat: served, Stats: st}
-	// The slice inherits the wider entry's recompute-cost signal — a
-	// narrow re-execution would mount the same files — unless it is the
-	// whole entry, which is already stored under the wider fingerprint.
-	cost := hit.Cost
+	// A slice that is the whole entry is already stored under the wider
+	// fingerprint.
 	var servedBytes int64
 	for _, b := range served.Batches {
 		servedBytes += b.Bytes()
 	}
-	if servedBytes >= hit.Bytes {
-		cost = resultcache.DoNotStore
-	}
-	return res, cost, true
+	return res, servedBytes < hit.Bytes, true
 }
 
 // serveCached turns a frozen cache entry (or flight result) into a
@@ -287,17 +280,5 @@ func (e *Engine) offerToResultCache(p *Prepared, res *Result) {
 		res.Stats.StoppedEarly || res.Stats.ServedFromResultCache {
 		return
 	}
-	e.results.PutAt(p.Fingerprint, p.session, res.Mat, recomputeCost(res), p.startEpoch, p.sub)
-}
-
-// recomputeCost is the admission signal: what it would cost to compute
-// this result again. The breakpoint's cardinality-derived estimate
-// (files, records and bytes of interest from metadata) and the measured
-// modeled time bound it from two sides; the larger wins.
-func recomputeCost(res *Result) time.Duration {
-	cost := res.Stats.Modeled()
-	if est := res.Stats.Estimate.EstCost; est > cost {
-		cost = est
-	}
-	return cost
+	e.results.PutAt(p.Fingerprint, res.Mat, p.startEpoch, p.sub)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 )
@@ -267,25 +266,6 @@ WHERE R.start_time > '2010-01-01T00:00:00.000'`
 	st := eng.ResultCache().Stats()
 	if st.Stores != 1 {
 		t.Fatalf("stores = %d, want 1 (%+v)", st.Stores, st)
-	}
-}
-
-// TestResultCacheAdmissionGate pins the cost floor: with an absurdly
-// high floor nothing is retained, but execution still works.
-func TestResultCacheAdmissionGate(t *testing.T) {
-	m := testRepo(t)
-	opts := resultCacheOpts(Options{Mode: ModeALi})
-	opts.ResultCacheMinCost = 24 * time.Hour
-	eng := openEngine(t, m.Dir, opts)
-
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Query(query1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := eng.ResultCache().Stats()
-	if st.Stores != 0 || st.RejectedStores == 0 {
-		t.Fatalf("admission gate did not reject: %+v", st)
 	}
 }
 

@@ -74,21 +74,3 @@ func TestQueryAsCancelledBeforeMount(t *testing.T) {
 		t.Fatalf("query after cancellation: %v", err)
 	}
 }
-
-// TestResultCacheStoresAttributedToSession: stores land on the leader's
-// session in the result cache's per-session accounting.
-func TestResultCacheStoresAttributedToSession(t *testing.T) {
-	m := testRepo(t)
-	eng := openEngine(t, m.Dir, Options{Mode: ModeALi, ResultCacheBytes: -1})
-	if _, err := eng.QueryAs(context.Background(), "dashboard", query1); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.ResultCache().Stats()
-	ss, ok := st.PerSession["dashboard"]
-	if !ok || ss.HeldBytes == 0 {
-		t.Fatalf("stored result not attributed to its session: %+v", st.PerSession)
-	}
-	if st.BytesResident != ss.HeldBytes {
-		t.Errorf("resident %d != session-held %d with one session", st.BytesResident, ss.HeldBytes)
-	}
-}

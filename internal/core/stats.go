@@ -43,6 +43,40 @@ func (e *Engine) statsPlanningOn() bool {
 	return e.opts.StatsPlanning == StatsPlanningOn
 }
 
+// qfRecordCols are the positions, in the frozen Qf result, of the
+// columns identifying each record of interest: its uri, its record id and
+// the bounds of its data span.
+type qfRecordCols struct{ uri, rid, lo, hi int }
+
+// qfRecordColumns resolves the record-identifying columns the query's
+// Stage-2 join on the actual scan pairs with the Qf result. ok is false
+// when the adapter gives no EstimateHints or a column is missing.
+func (e *Engine) qfRecordColumns(p *Prepared, bp *Breakpoint, binding string) (qfRecordCols, EstimateHints, bool) {
+	hints, ok := e.adapter.(EstimateHints)
+	if !ok {
+		return qfRecordCols{}, nil, false
+	}
+	uriCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, binding, e.adapter.URIColumn())
+	if err != nil {
+		return qfRecordCols{}, nil, false
+	}
+	ridCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, binding, e.adapter.RecordIDColumn())
+	if err != nil {
+		return qfRecordCols{}, nil, false
+	}
+	loName, hiName := hints.RecordSpanColumns()
+	rc := qfRecordCols{
+		uri: bp.qfResult.Column(uriCol),
+		rid: bp.qfResult.Column(ridCol),
+		lo:  bp.qfResult.Column(loName),
+		hi:  bp.qfResult.Column(hiName),
+	}
+	if rc.uri < 0 || rc.rid < 0 || rc.lo < 0 || rc.hi < 0 {
+		return qfRecordCols{}, nil, false
+	}
+	return rc, hints, true
+}
+
 // buildOracle harvests the frozen Qf result into a stats.Oracle. It
 // returns nil when the metadata result doesn't carry record-granular
 // columns (uri, record id, span bounds, row counts) — planning then
@@ -51,36 +85,23 @@ func (e *Engine) buildOracle(p *Prepared, bp *Breakpoint) *stats.Oracle {
 	if !p.HasStages || bp.qfResult == nil || len(p.actuals) == 0 {
 		return nil
 	}
-	hints, ok := e.adapter.(EstimateHints)
+	actual := p.actuals[0]
+	rc, hints, ok := e.qfRecordColumns(p, bp, actual.Binding)
 	if !ok {
 		return nil
 	}
-	actual := p.actuals[0]
-	uriCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, actual.Binding, e.adapter.URIColumn())
-	if err != nil {
-		return nil
-	}
-	ridCol, err := plan.CollectURIColumn(p.Dec.Qs, p.Dec.Name, actual.Binding, e.adapter.RecordIDColumn())
-	if err != nil {
-		return nil
-	}
-	loName, hiName := hints.RecordSpanColumns()
-	uriIdx := bp.qfResult.Column(uriCol)
-	ridIdx := bp.qfResult.Column(ridCol)
-	loIdx := bp.qfResult.Column(loName)
-	hiIdx := bp.qfResult.Column(hiName)
 	rowsIdx := bp.qfResult.Column(hints.RowCountColumn())
 	sizeIdx := bp.qfResult.Column(hints.FileSizeColumn()) // optional
-	if uriIdx < 0 || ridIdx < 0 || loIdx < 0 || hiIdx < 0 || rowsIdx < 0 {
+	if rowsIdx < 0 {
 		return nil
 	}
 
 	o := stats.New(p.Dec.Name, int64(bp.qfResult.Rows()), e.derived)
 	for _, b := range bp.qfResult.Batches {
-		uris := b.Cols[uriIdx].Strings()
-		rids := b.Cols[ridIdx].Int64s()
-		los := b.Cols[loIdx].Int64s()
-		his := b.Cols[hiIdx].Int64s()
+		uris := b.Cols[rc.uri].Strings()
+		rids := b.Cols[rc.rid].Int64s()
+		los := b.Cols[rc.lo].Int64s()
+		his := b.Cols[rc.hi].Int64s()
 		rows := b.Cols[rowsIdx].Int64s()
 		var sizes []int64
 		if sizeIdx >= 0 && b.Cols[sizeIdx].Kind() == vector.KindInt64 {

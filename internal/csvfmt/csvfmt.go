@@ -244,12 +244,6 @@ func (a *Adapter) ExtractMetadata(path, uri string) (catalog.FileMeta, []catalog
 	return fm, rms, nil
 }
 
-// Mount implements catalog.FormatAdapter: parse readings and materialize
-// timestamps.
-func (a *Adapter) Mount(path, uri string, keep func(catalog.RecordMeta) bool) (*vector.Batch, error) {
-	return catalog.CollectMount(a, path, uri, keep)
-}
-
 // MountStream implements catalog.FormatAdapter. A first structure-only
 // pass (the same cheap scan metadata extraction uses) fixes the header
 // and segment boundaries; the second pass then parses reading values

@@ -61,7 +61,7 @@ func TestMount(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSample(t, dir, "s1.csv")
 	a := NewAdapter()
-	b, err := a.Mount(path, "s1.csv", nil)
+	b, err := catalog.CollectMount(a, path, "s1.csv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMount(t *testing.T) {
 		t.Errorf("timestamp = %d", b.Cols[2].Int64s()[1])
 	}
 	// Filtered mount.
-	b, err = a.Mount(path, "s1.csv", func(rm catalog.RecordMeta) bool { return rm.RecordID == 1 })
+	b, err = catalog.CollectMount(a, path, "s1.csv", func(rm catalog.RecordMeta) bool { return rm.RecordID == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMalformedFiles(t *testing.T) {
 		}
 		if name == "bad-reading" {
 			// Structure scan tolerates unparsed readings; mount must fail.
-			if _, err := a.Mount(path, name, nil); err == nil {
+			if _, err := catalog.CollectMount(a, path, name, nil); err == nil {
 				t.Errorf("%s: Mount accepted garbage", name)
 			}
 			continue
@@ -210,7 +210,7 @@ func TestTimeWindowPushdownCSV(t *testing.T) {
 func TestMountStreamParity(t *testing.T) {
 	a := NewAdapter()
 	path := writeSample(t, t.TempDir(), "s1.csv")
-	whole, err := a.Mount(path, "s1.csv", nil)
+	whole, err := catalog.CollectMount(a, path, "s1.csv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

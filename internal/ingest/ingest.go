@@ -240,7 +240,7 @@ func LoadEagerParallel(store *storage.Store, ad catalog.FormatAdapter, repoDir s
 			if touchErr != nil {
 				return mountedFile{}, touchErr
 			}
-			batch, err := ad.Mount(path, uris[i], nil)
+			batch, err := catalog.CollectMount(ad, path, uris[i], nil)
 			if err != nil {
 				return mountedFile{}, err
 			}

@@ -69,11 +69,8 @@ type Config struct {
 	// at once across all queries; <= 0 means unlimited. A single file
 	// larger than the budget is admitted alone.
 	BudgetBytes int64
-	// SessionQuotaBytes caps the budget bytes one session may hold at
-	// once; <= 0 means no cap (see admission.Config.SessionQuotaBytes).
-	SessionQuotaBytes int64
 	// MaxSessionShare caps one session's holdings as a fraction of
-	// BudgetBytes; <= 0 means no cap. The smaller of the two caps wins.
+	// BudgetBytes; <= 0 means no cap (see admission.Config).
 	MaxSessionShare float64
 	// SpillDir, together with SpillThresholdBytes > 0, enables
 	// out-of-core replay buffers: once a flight's resident replay buffer
@@ -248,9 +245,8 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		flights: make(map[string][]*flight),
 		gate: admission.New(admission.Config{
-			BudgetBytes:       cfg.BudgetBytes,
-			SessionQuotaBytes: cfg.SessionQuotaBytes,
-			MaxSessionShare:   cfg.MaxSessionShare,
+			BudgetBytes:     cfg.BudgetBytes,
+			MaxSessionShare: cfg.MaxSessionShare,
 		}),
 	}
 }

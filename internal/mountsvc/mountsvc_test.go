@@ -52,9 +52,6 @@ func (a *slowAdapter) RecordSpan(rm catalog.RecordMeta) (int64, int64, bool) {
 func (a *slowAdapter) ExtractMetadata(path, uri string) (catalog.FileMeta, []catalog.RecordMeta, error) {
 	return catalog.FileMeta{URI: uri}, nil, nil
 }
-func (a *slowAdapter) Mount(path, uri string, keep func(catalog.RecordMeta) bool) (*vector.Batch, error) {
-	return catalog.CollectMount(a, path, uri, keep)
-}
 func (a *slowAdapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bool, batchRows int, emit func(*vector.Batch) error) error {
 	a.extractions.Add(1)
 	if a.gate != nil {
@@ -806,8 +803,8 @@ func TestSessionQuotaBoundsOneSession(t *testing.T) {
 	})
 	adG := &slowAdapter{nBatches: 2, batchLen: 4}
 	adI := &slowAdapter{nBatches: 2, batchLen: 4}
-	// Budget fits three files; the quota caps one session at one file.
-	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize * 3, SessionQuotaBytes: fileSize})
+	// Budget fits four files; the quota caps one session at one file.
+	svc := New(Config{RepoDir: dir, BudgetBytes: fileSize * 4, MaxSessionShare: 0.25})
 
 	g1 := holdBudget(t, svc, adG, "g1.slow")
 	g2, err := svc.Mount(Request{URI: "g2.slow", Adapter: adG, Session: "", Span: cache.FullSpan()})

@@ -2,9 +2,11 @@ package mseed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +279,58 @@ func TestWriteRecordSetsGeometry(t *testing.T) {
 	}
 	if h.NSamples != 3 || h.FrameBytes != buf.Len()-HeaderSize {
 		t.Errorf("geometry wrong: %+v", h)
+	}
+}
+
+// allocatedDuring reports the bytes the heap handed out while f ran.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileHeaderAllocatesNothingLarge: a record header claiming
+// 0xFFFFFFF0 samples, or a payload of almost 4 GiB, fails that record
+// with an error instead of allocating what the header claims.
+func TestHostileHeaderAllocatesNothingLarge(t *testing.T) {
+	var file bytes.Buffer
+	if _, err := WriteRecord(&file, Header{Network: "NL", Station: "ISK", Channel: "BHE", SampleRate: 40},
+		[]int32{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		offset int
+		value  uint32
+	}{
+		{"nsamples", 36, 0xFFFFFFF0},
+		{"frame bytes", 40, 0xFFFFFFC0},
+	} {
+		raw := bytes.Clone(file.Bytes())
+		binary.BigEndian.PutUint32(raw[tc.offset:], tc.value)
+		var err error
+		n := allocatedDuring(func() {
+			r := NewReader(bytes.NewReader(raw))
+			var h Header
+			if h, err = r.NextHeader(); err == nil {
+				_, err = r.ReadPayload(h)
+			}
+		})
+		if err == nil {
+			t.Errorf("%s = %#x: record decoded without error", tc.name, tc.value)
+		}
+		if n > limit {
+			t.Errorf("%s = %#x: allocated %d bytes", tc.name, tc.value, n)
+		}
+	}
+	frames := EncodeSteim([]int32{1, 2, 3})
+	if _, err := DecodeSteim(frames, 0xFFFFFFF0); err == nil {
+		t.Error("DecodeSteim accepted more samples than its frames hold")
+	}
+	if _, err := DecodeSteim(frames, -1); err == nil {
+		t.Error("DecodeSteim accepted a negative sample count")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 )
 
@@ -165,13 +166,26 @@ func (r *Reader) NextHeader() (Header, error) {
 	return h, err
 }
 
+// payloadChunk bounds the payload buffer ReadPayload allocates before it
+// has seen the bytes: a header's FrameBytes is untrusted input.
+const payloadChunk = 64 << 10
+
 // ReadPayload decodes the samples of the record whose header was just
-// returned by NextHeader.
+// returned by NextHeader. The payload buffer grows only as bytes arrive,
+// so a corrupt FrameBytes cannot allocate more than the file holds (plus
+// one chunk).
 func (r *Reader) ReadPayload(h Header) ([]int32, error) {
-	frames := make([]byte, h.FrameBytes)
-	if _, err := io.ReadFull(r.br, frames); err != nil {
-		r.err = fmt.Errorf("mseed: read payload of record %d: %w", h.Seq, err)
-		return nil, r.err
+	frames := make([]byte, 0, min(h.FrameBytes, payloadChunk))
+	for len(frames) < h.FrameBytes {
+		if len(frames) == cap(frames) {
+			frames = slices.Grow(frames, min(h.FrameBytes-len(frames), len(frames)))
+		}
+		n, err := io.ReadFull(r.br, frames[len(frames):min(cap(frames), h.FrameBytes)])
+		frames = frames[:len(frames)+n]
+		if err != nil {
+			r.err = fmt.Errorf("mseed: read payload of record %d: %w", h.Seq, err)
+			return nil, r.err
+		}
 	}
 	return DecodeSteim(frames, h.NSamples)
 }

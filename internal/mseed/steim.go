@@ -123,6 +123,12 @@ func DecodeSteim(frames []byte, nsamples int) ([]int32, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("mseed: no frames for %d samples", nsamples)
 	}
+	// Bound the sample count by what the frames can hold before
+	// allocating for it: X0 plus at most four 8-bit deltas in each data
+	// word (fifteen per frame, less the first frame's X0 and Xn).
+	if maxSamples := 1 + 4*(len(frames)/FrameSize*(wordsPerFrame-1)-2); nsamples < 0 || nsamples > maxSamples {
+		return nil, fmt.Errorf("mseed: %d samples cannot fit %d frame bytes", nsamples, len(frames))
+	}
 	x0 := int32(binary.BigEndian.Uint32(frames[4:8]))
 	xn := int32(binary.BigEndian.Uint32(frames[8:12]))
 

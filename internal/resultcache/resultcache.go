@@ -24,19 +24,9 @@
 //     one layer up — the leader executes, riders block and then receive
 //     shares of the frozen result, paying O(1) instead of a full Qf+Qs
 //     execution each.
-//   - Byte-budget LRU, per-session-aware: resident results are
-//     accounted with Batch.Bytes through the engine's shared admission
-//     abstraction (internal/admission, the same gate type behind the
-//     mount budget), tagged with the storing session. Under pressure a
-//     session holding more than its share evicts its own
-//     least-recently-served entries first — a fat dashboard's results
-//     push out that dashboard's older results, not everyone else's —
-//     falling back to global LRU otherwise.
-//   - Cost-gated admission: a result whose recompute cost signal (the
-//     engine passes the breakpoint's cardinality-derived estimate or the
-//     measured modeled time, whichever is larger) falls below the
-//     configured floor is served to its riders but not retained — cheap
-//     metadata lookups never crowd out expensive multi-file scans.
+//   - Byte-budget LRU: resident results are accounted with Batch.Bytes
+//     (the unit the ingestion cache charges) on one ledger, and under
+//     pressure the least recently served entry goes first.
 //   - Subsumption index: entries whose plans carry a subsumption summary
 //     (plan.SubsumptionInfo) are additionally indexed by their
 //     plan.SubsumptionKey — the bucket of structurally identical plans
@@ -57,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/storage"
@@ -67,15 +56,6 @@ import (
 type Config struct {
 	// MaxBytes bounds resident result bytes; <= 0 means unlimited.
 	MaxBytes int64
-	// MinCost gates admission: results whose recompute-cost signal is
-	// below it are not retained (riders of an in-flight execution are
-	// still served). Zero admits everything.
-	MinCost time.Duration
-	// MaxSessionShare caps one session's resident result bytes as a
-	// fraction of MaxBytes; a session over its share evicts its own
-	// oldest entries first. <= 0 disables the per-session preference
-	// (eviction is plain global LRU).
-	MaxSessionShare float64
 	// SpillDir enables the disk tier (see spill.go): cold entries are
 	// demoted to spill files here instead of evicted, and the directory
 	// doubles as the restart-persistence store. Empty disables the tier.
@@ -94,14 +74,13 @@ type Stats struct {
 	// Hits counts probes served from a stored entry; Riders counts
 	// queries that coalesced onto another client's in-flight execution.
 	Hits, Misses, Riders int64
-	// Stores / RejectedStores split completed executions into retained
-	// and admission-rejected (cost floor or epoch raced) ones.
+	// Stores / RejectedStores split completed executions offered for
+	// retention into retained ones and ones whose execution straddled an
+	// epoch bump.
 	Stores, RejectedStores int64
-	// Evictions counts LRU budget evictions; SelfEvictions the subset
-	// where an over-share session's own entry was taken instead of the
-	// global LRU victim; Invalidations counts entries dropped by epoch
-	// bumps.
-	Evictions, SelfEvictions, Invalidations int64
+	// Evictions counts LRU budget evictions; Invalidations counts entries
+	// dropped by epoch bumps.
+	Evictions, Invalidations int64
 	// Subsumption counters: probes of the secondary index on exact miss,
 	// hits served by re-filtering a wider entry, the bytes of wider
 	// entries served that way instead of re-executed and re-mounted, and
@@ -122,10 +101,6 @@ type Stats struct {
 	BytesOnDisk   int64
 	DiskEntries   int
 	Epoch         uint64
-	// PerSession breaks resident bytes and stores down by the session
-	// that stored each entry (see admission.SessionStats; Acquires
-	// counts stores, HeldBytes the session's resident bytes).
-	PerSession map[string]admission.SessionStats
 }
 
 // Outcome reports how a Do call was satisfied.
@@ -145,34 +120,30 @@ type Outcome struct {
 type Cache struct {
 	cfg Config
 
-	// gate is the shared admission abstraction carrying the byte budget:
-	// entries are charged to their storing session (Charge — stores are
-	// never blocked; the budget drives eviction instead) and released on
-	// evict/invalidate, so per-session occupancy steers the evictor.
-	gate *admission.Gate
-
 	mu      sync.Mutex
 	epoch   uint64
-	entries map[plan.Fingerprint]*list.Element
-	order   *list.List // front = most recently served
+	entries map[plan.Fingerprint]*entry
 	flights map[plan.Fingerprint]*flight
-	bytes   int64
 
-	// Disk tier (spill.go): spilled entries keep their c.entries slot but
-	// their element lives in diskOrder (front = most recently demoted)
-	// and their bytes count against diskBytes, not bytes or the gate.
+	// The two tiers' ledgers. A resident entry sits in order (front =
+	// most recently served) and counts against bytes; a spilled entry
+	// sits in diskOrder (front = most recently demoted) and counts
+	// against diskBytes. An entry moving between tiers (see spill.go)
+	// sits in neither list and counts against neither ledger.
+	order     *list.List
+	bytes     int64
 	diskOrder *list.List
 	diskBytes int64
 
 	// subindex is the secondary semantic index: subsumption bucket →
-	// fingerprints of resident entries carrying that key. Only entries
-	// stored with a non-nil summary appear.
+	// fingerprints of entries carrying that key. Only entries stored
+	// with a non-nil summary appear.
 	subindex map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}
 
-	hits, misses, riders     int64
-	stores, rejected         int64
-	evictions, selfEvictions int64
-	invalidated              int64
+	hits, misses, riders int64
+	stores, rejected     int64
+	evictions            int64
+	invalidated          int64
 
 	subProbes, subHits int64
 	subBytesSaved      int64
@@ -181,16 +152,24 @@ type Cache struct {
 	demotions, promotions, diskEvictions, warmed int64
 }
 
+// entry is one cached result. Its tier state:
+//
+//   - resident: mat set, el in order, path empty;
+//   - demoting: mat set, el nil — its spill file is being written, and
+//     hits are still served from mat;
+//   - spilled: mat nil, el in diskOrder, path names the spill file;
+//   - loading: mat nil, el nil, loading open — one probe is reading the
+//     spill file and the others wait on loading.
 type entry struct {
 	fp      plan.Fingerprint
-	session string
-	mat     *exec.Materialized // nil while spilled to disk
+	mat     *exec.Materialized
 	bytes   int64
 	epoch   uint64
-	cost    time.Duration         // recompute-cost signal it was admitted with
 	sub     *plan.SubsumptionInfo // nil: not semantically indexed
-	path    string                // spill file; non-empty marks the entry spilled
 	schema  []plan.ColInfo        // result schema, kept for promotion
+	el      *list.Element
+	path    string
+	loading chan struct{}
 }
 
 // flight is one in-progress execution other identical queries wait on.
@@ -208,12 +187,8 @@ type flight struct {
 // previous Close is loaded and its entries served from disk.
 func New(cfg Config) *Cache {
 	c := &Cache{
-		cfg: cfg,
-		gate: admission.New(admission.Config{
-			BudgetBytes:     cfg.MaxBytes,
-			MaxSessionShare: cfg.MaxSessionShare,
-		}),
-		entries:   make(map[plan.Fingerprint]*list.Element),
+		cfg:       cfg,
+		entries:   make(map[plan.Fingerprint]*entry),
 		order:     list.New(),
 		flights:   make(map[plan.Fingerprint]*flight),
 		subindex:  make(map[plan.SubsumptionKey]map[plan.Fingerprint]struct{}),
@@ -245,24 +220,24 @@ func (c *Cache) BumpEpoch() {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.epoch++
 	c.invalidated += int64(len(c.entries))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		c.gate.Release(e.session, e.bytes)
-	}
 	// The disk tier invalidates with everything else: pre-change results
-	// must not survive to warm a post-change process either.
+	// must not survive to warm a post-change process either. Files of
+	// entries between tiers belong to the goroutine moving them, which
+	// removes them when its commit finds the entry gone.
+	var files []string
 	for el := c.diskOrder.Front(); el != nil; el = el.Next() {
-		os.Remove(el.Value.(*entry).path)
+		files = append(files, el.Value.(*entry).path)
 	}
-	c.entries = make(map[plan.Fingerprint]*list.Element)
+	c.entries = make(map[plan.Fingerprint]*entry)
 	c.order = list.New()
 	c.diskOrder = list.New()
 	c.subindex = make(map[plan.SubsumptionKey]map[plan.Fingerprint]struct{})
 	c.bytes = 0
 	c.diskBytes = 0
+	c.mu.Unlock()
+	removeFiles(files)
 }
 
 // Get returns the frozen entry for a fingerprint at the current epoch.
@@ -274,48 +249,74 @@ func (c *Cache) Get(fp plan.Fingerprint) (*exec.Materialized, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:allow lockcheck spill promotion is serialized under c.mu by design: an entry's tier state must not change between probe and load (see spill.go)
-	mat, ok := c.getLocked(fp)
-	if ok {
+	mat, load, wait := c.lookupLocked(fp)
+	for mat == nil && wait != nil {
+		c.mu.Unlock()
+		mat = c.await(load, wait)
+		c.mu.Lock()
+		if mat == nil {
+			mat, load, wait = c.lookupLocked(fp)
+		}
+	}
+	if mat != nil {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	return mat, ok
+	c.mu.Unlock()
+	return mat, mat != nil
 }
 
-func (c *Cache) getLocked(fp plan.Fingerprint) (*exec.Materialized, bool) {
-	el, ok := c.entries[fp]
-	if !ok || el.Value.(*entry).epoch != c.epoch {
-		return nil, false
+// lookupLocked probes the current-epoch entry for fp (see serveLocked);
+// all three results are nil on a miss.
+func (c *Cache) lookupLocked(fp plan.Fingerprint) (*exec.Materialized, *entry, <-chan struct{}) {
+	e, ok := c.entries[fp]
+	if !ok || e.epoch != c.epoch {
+		return nil, nil, nil
 	}
-	if el.Value.(*entry).path != "" {
-		// Spilled: a hit promotes the entry back to the resident tier (a
-		// corrupt spill file drops it and the probe is a miss).
-		return c.promoteLocked(el)
+	return c.serveLocked(e)
+}
+
+// serveLocked returns e's frozen materialization when it is in memory,
+// marking a resident entry most recently served. A spilled entry is
+// marked loading and returned as load: the caller promotes it with c.mu
+// released. An entry another probe is loading returns only wait, closed
+// once that load is done. Either way the caller passes load and wait to
+// await and then probes again.
+func (c *Cache) serveLocked(e *entry) (mat *exec.Materialized, load *entry, wait <-chan struct{}) {
+	switch {
+	case e.mat != nil:
+		if e.el != nil {
+			c.order.MoveToFront(e.el)
+		}
+		return e.mat, nil, nil
+	case e.loading != nil:
+		return nil, nil, e.loading
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*entry).mat, true
+	c.unlinkLocked(e)
+	e.loading = make(chan struct{})
+	return nil, e, e.loading
+}
+
+// await sits out what serveLocked found, with c.mu released: it promotes
+// load, returning the promoted materialization, or waits for the probe
+// that is loading the entry and returns nil so the caller probes again.
+func (c *Cache) await(load *entry, wait <-chan struct{}) *exec.Materialized {
+	if load != nil {
+		return c.promote(load)
+	}
+	<-wait
+	return nil
 }
 
 // SubsumeHit describes a wider entry found by GetSubsuming: whose
 // fingerprint it is stored under, the frozen materialization to
-// re-filter, its resident bytes (the re-execution the probe saved) and
-// the recompute-cost signal it was admitted with (the ceiling for
-// admitting the re-filtered slice as its own entry).
+// re-filter, and its resident bytes (the re-execution the probe saved).
 type SubsumeHit struct {
 	Fp    plan.Fingerprint
 	Mat   *exec.Materialized
 	Bytes int64
-	Cost  time.Duration
 }
-
-// DoNotStore is the cost sentinel a Do leader (or PutAt caller) passes
-// to decline retention outright — e.g. a subsumption-served slice that
-// filtered nothing away, which would duplicate its source entry. Unlike
-// a low cost it is not counted as an admission rejection.
-const DoNotStore time.Duration = -1
 
 // GetSubsuming probes the semantic index for a current-epoch entry able
 // to answer the query summarized by sub: same subsumption bucket,
@@ -328,42 +329,44 @@ func (c *Cache) GetSubsuming(fp plan.Fingerprint, sub *plan.SubsumptionInfo) (Su
 		return SubsumeHit{}, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.subProbes++
-	// A spilled candidate can lose to promotion (corrupt file) and drop
-	// out; re-select until a candidate survives or none remain.
+	// A spilled candidate can lose its promotion (corrupt file) and drop
+	// out; re-select until a candidate is served or none remain.
 	for {
-		var best *list.Element
-		for cand := range c.subindex[sub.Key] {
-			el, ok := c.entries[cand]
-			if !ok {
-				continue
-			}
-			e := el.Value.(*entry)
-			if e.epoch != c.epoch || e.fp == fp || !plan.Subsumes(e.sub, sub) {
-				continue
-			}
-			if best == nil || e.bytes < best.Value.(*entry).bytes {
-				best = el
-			}
-		}
+		best := c.subsumingLocked(fp, sub)
 		if best == nil {
+			c.mu.Unlock()
 			return SubsumeHit{}, false
 		}
-		e := best.Value.(*entry)
-		if e.path != "" {
-			//lint:allow lockcheck spill promotion is serialized under c.mu by design: an entry's tier state must not change between probe and load (see spill.go)
-			mat, ok := c.promoteLocked(best)
-			if !ok {
-				continue
-			}
-			c.subHits++
-			return SubsumeHit{Fp: e.fp, Mat: mat, Bytes: e.bytes, Cost: e.cost}, true
+		mat, load, wait := c.serveLocked(best)
+		if mat == nil {
+			c.mu.Unlock()
+			mat = c.await(load, wait)
+			c.mu.Lock()
 		}
-		c.order.MoveToFront(best)
-		c.subHits++
-		return SubsumeHit{Fp: e.fp, Mat: e.mat, Bytes: e.bytes, Cost: e.cost}, true
+		if mat != nil {
+			c.subHits++
+			hit := SubsumeHit{Fp: best.fp, Mat: mat, Bytes: best.bytes}
+			c.mu.Unlock()
+			return hit, true
+		}
 	}
+}
+
+// subsumingLocked selects the smallest current-epoch entry, other than
+// fp's own, whose intervals contain sub's.
+func (c *Cache) subsumingLocked(fp plan.Fingerprint, sub *plan.SubsumptionInfo) *entry {
+	var best *entry
+	for cand := range c.subindex[sub.Key] {
+		e, ok := c.entries[cand]
+		if !ok || e.epoch != c.epoch || e.fp == fp || !plan.Subsumes(e.sub, sub) {
+			continue
+		}
+		if best == nil || e.bytes < best.bytes {
+			best = e
+		}
+	}
+	return best
 }
 
 // NoteRefilter accounts one subsumption serve: the wall time spent
@@ -378,83 +381,83 @@ func (c *Cache) NoteRefilter(wall time.Duration, saved int64) {
 	c.subBytesSaved += saved
 }
 
-// Put retains a completed result under the current epoch, subject to the
-// cost-admission floor, charged to the storing session. The entry holds
-// the materialization frozen: the caller keeps its handle and any later
+// PutAt retains a completed result whose execution began at startEpoch:
+// a result computed across an invalidation (the epoch moved on) is
+// rejected — it may reflect pre-change data. The entry holds the
+// materialization frozen: the caller keeps its handle and any later
 // mutation on either side materializes a private copy. A non-nil sub
 // additionally indexes the entry for semantic (subsumption) probes.
-func (c *Cache) Put(fp plan.Fingerprint, session string, mat *exec.Materialized, cost time.Duration) bool {
+func (c *Cache) PutAt(fp plan.Fingerprint, mat *exec.Materialized, startEpoch uint64, sub *plan.SubsumptionInfo) bool {
 	if c == nil {
 		return false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:allow lockcheck demotion-based eviction is serialized under c.mu by design: admission and spill share one byte ledger (see spill.go)
-	return c.admitLocked(fp, session, mat, cost, c.epoch, nil)
+	stored, victims := c.admitLocked(fp, mat, startEpoch, sub)
+	c.mu.Unlock()
+	c.demote(victims)
+	return stored
 }
 
-// PutAt is Put with an epoch-straddle guard: startEpoch is the epoch the
-// caller observed when the execution began, and a result computed across
-// an invalidation (the epoch moved on) is rejected — it may reflect
-// pre-change data.
-func (c *Cache) PutAt(fp plan.Fingerprint, session string, mat *exec.Materialized, cost time.Duration, startEpoch uint64, sub *plan.SubsumptionInfo) bool {
-	if c == nil {
-		return false
+// admitLocked stores mat unless its execution straddled an epoch bump;
+// callers hold the lock and pass the returned victims to demote once
+// they have released it.
+func (c *Cache) admitLocked(fp plan.Fingerprint, mat *exec.Materialized, startEpoch uint64, sub *plan.SubsumptionInfo) (bool, []*entry) {
+	if mat == nil {
+		return false, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//lint:allow lockcheck demotion-based eviction is serialized under c.mu by design: admission and spill share one byte ledger (see spill.go)
-	return c.admitLocked(fp, session, mat, cost, startEpoch, sub)
-}
-
-// admitLocked applies the admission rules (cost floor, epoch match) and
-// stores on success; callers hold the lock. A DoNotStore cost declines
-// without counting as a rejection.
-func (c *Cache) admitLocked(fp plan.Fingerprint, session string, mat *exec.Materialized, cost time.Duration, startEpoch uint64, sub *plan.SubsumptionInfo) bool {
-	if mat == nil || cost == DoNotStore {
-		return false
-	}
-	if startEpoch != c.epoch || cost < c.cfg.MinCost {
+	if startEpoch != c.epoch {
 		c.rejected++
-		return false
+		return false, nil
 	}
 	mat.Freeze()
-	c.putLocked(fp, session, mat, c.epoch, cost, sub)
-	c.stores++
-	return true
-}
-
-func (c *Cache) putLocked(fp plan.Fingerprint, session string, mat *exec.Materialized, epoch uint64, cost time.Duration, sub *plan.SubsumptionInfo) {
-	if el, ok := c.entries[fp]; ok {
-		c.removeLocked(el)
+	if e, ok := c.entries[fp]; ok {
+		c.removeLocked(e)
 	}
-	e := &entry{fp: fp, session: session, mat: mat, bytes: matBytes(mat), epoch: epoch, cost: cost, sub: sub, schema: mat.Schema}
-	c.entries[fp] = c.order.PushFront(e)
+	e := &entry{fp: fp, mat: mat, bytes: matBytes(mat), epoch: c.epoch, sub: sub, schema: mat.Schema}
+	c.entries[fp] = e
+	e.el = c.order.PushFront(e)
 	c.bytes += e.bytes
-	if sub != nil && !sub.Key.IsZero() {
-		bucket := c.subindex[sub.Key]
-		if bucket == nil {
-			bucket = make(map[plan.Fingerprint]struct{})
-			c.subindex[sub.Key] = bucket
-		}
-		bucket[fp] = struct{}{}
-	}
-	c.gate.Charge(session, e.bytes)
-	c.evictLocked(session)
+	c.indexLocked(e)
+	c.stores++
+	return true, c.evictLocked()
 }
 
-// removeLocked drops one entry — resident (bytes go back to the gate)
-// or spilled (the spill file is deleted).
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	if e.path != "" {
-		c.diskOrder.Remove(el)
-		c.diskBytes -= e.bytes
-		os.Remove(e.path)
-	} else {
-		c.order.Remove(el)
+// indexLocked adds e to the semantic index when it carries a summary.
+func (c *Cache) indexLocked(e *entry) {
+	if e.sub == nil || e.sub.Key.IsZero() {
+		return
+	}
+	bucket := c.subindex[e.sub.Key]
+	if bucket == nil {
+		bucket = make(map[plan.Fingerprint]struct{})
+		c.subindex[e.sub.Key] = bucket
+	}
+	bucket[e.fp] = struct{}{}
+}
+
+// unlinkLocked takes e out of its tier's list and ledger, returning the
+// spill file of a spilled entry. An entry between tiers is in neither.
+func (c *Cache) unlinkLocked(e *entry) string {
+	if e.el == nil {
+		return ""
+	}
+	path := e.path
+	if path == "" {
+		c.order.Remove(e.el)
 		c.bytes -= e.bytes
-		c.gate.Release(e.session, e.bytes)
+	} else {
+		c.diskOrder.Remove(e.el)
+		c.diskBytes -= e.bytes
+	}
+	e.el = nil
+	return path
+}
+
+// removeLocked drops one entry. A spilled entry's file is deleted; the
+// file of an entry between tiers belongs to the goroutine moving it.
+func (c *Cache) removeLocked(e *entry) {
+	if path := c.unlinkLocked(e); path != "" {
+		os.Remove(path)
 	}
 	delete(c.entries, e.fp)
 	if e.sub != nil {
@@ -467,57 +470,53 @@ func (c *Cache) removeLocked(el *list.Element) {
 	}
 }
 
-// evictLocked enforces the byte budget after a store by `storing`;
-// callers hold the lock. While the storing session holds more than its
-// share, its own least-recently-served entry goes first — the session
-// whose fat results created the pressure pays for it — then eviction
-// falls back to global LRU. Like the ingestion cache, a single
+// evictLocked enforces the byte budget, least recently served entry
+// first; callers hold the lock. Like the ingestion cache, a single
 // over-budget entry is allowed to remain alone. With the disk tier
-// configured the victim is demoted to a spill file instead of dropped
-// (falling back to a real eviction if the disk write fails).
-func (c *Cache) evictLocked(storing string) {
+// configured the victims leave the resident tier here and are returned
+// for demote, which writes them to disk with the lock released.
+func (c *Cache) evictLocked() []*entry {
 	if c.cfg.MaxBytes <= 0 {
-		return
+		return nil
 	}
+	var victims []*entry
 	for c.bytes > c.cfg.MaxBytes && c.order.Len() > 1 {
-		victim := c.order.Back()
-		if c.gate.OverShare(storing) {
-			// The just-stored entry sits at the front; any older entry of
-			// the over-share session is a better victim than another
-			// session's.
-			for el := c.order.Back(); el != nil && el != c.order.Front(); el = el.Prev() {
-				if el.Value.(*entry).session == storing {
-					victim = el
-					c.selfEvictions++
-					break
-				}
-			}
-		}
-		if c.spillEnabled() && c.demoteLocked(victim) {
+		e := c.order.Back().Value.(*entry)
+		if !c.spillEnabled() {
+			c.removeLocked(e)
+			c.evictions++
 			continue
 		}
-		c.removeLocked(victim)
-		c.evictions++
+		c.unlinkLocked(e)
+		victims = append(victims, e)
 	}
+	return victims
 }
 
 // Do resolves a query through the cache with query-granular
 // single-flight: a stored current-epoch entry is served immediately; an
 // in-flight identical execution is ridden (block, then share its
 // result); otherwise compute runs as the leader and its result is
-// published to every rider and — cost and epoch permitting — retained,
-// charged to the leader's session. compute returns the materialized
-// result and its recompute-cost signal (DoNotStore declines retention).
-// A non-nil sub semantically indexes the retained entry. A nil cache
+// published to every rider and — epoch permitting — retained. compute
+// returns the materialized result and whether to retain it at all. A
+// non-nil sub semantically indexes the retained entry. A nil cache
 // degenerates to calling compute.
-func (c *Cache) Do(fp plan.Fingerprint, session string, sub *plan.SubsumptionInfo, compute func() (*exec.Materialized, time.Duration, error)) (*exec.Materialized, Outcome, error) {
+func (c *Cache) Do(fp plan.Fingerprint, sub *plan.SubsumptionInfo, compute func() (*exec.Materialized, bool, error)) (*exec.Materialized, Outcome, error) {
 	if c == nil {
 		mat, _, err := compute()
 		return mat, Outcome{}, err
 	}
 	c.mu.Lock()
-	//lint:allow lockcheck spill promotion is serialized under c.mu by design: an entry's tier state must not change between probe and load (see spill.go)
-	if mat, ok := c.getLocked(fp); ok {
+	mat, load, wait := c.lookupLocked(fp)
+	for mat == nil && wait != nil {
+		c.mu.Unlock()
+		mat = c.await(load, wait)
+		c.mu.Lock()
+		if mat == nil {
+			mat, load, wait = c.lookupLocked(fp)
+		}
+	}
+	if mat != nil {
 		c.hits++
 		c.mu.Unlock()
 		return mat, Outcome{Hit: true}, nil
@@ -549,7 +548,7 @@ func (c *Cache) Do(fp plan.Fingerprint, session string, sub *plan.SubsumptionInf
 	// table and its riders must wake (with an error) either way, or every
 	// later identical query would block forever on a dead flight.
 	published := false
-	publish := func(mat *exec.Materialized, cost time.Duration, err error) bool {
+	publish := func(mat *exec.Materialized, store bool, err error) bool {
 		published = true
 		c.mu.Lock()
 		// Remove only our own flight: a stale-epoch flight may have been
@@ -558,28 +557,31 @@ func (c *Cache) Do(fp plan.Fingerprint, session string, sub *plan.SubsumptionInf
 			delete(c.flights, fp)
 		}
 		stored := false
+		var victims []*entry
 		if err == nil {
 			// Freeze before publishing: riders and the stored entry share
 			// the leader's storage, and the first mutation through any
 			// handle (including the leader's own) copies first.
 			mat.Freeze()
 			f.mat = mat
-			//lint:allow lockcheck demotion-based eviction is serialized under c.mu by design: admission and spill share one byte ledger (see spill.go)
-			stored = c.admitLocked(fp, session, mat, cost, startEpoch, sub)
+			if store {
+				stored, victims = c.admitLocked(fp, mat, startEpoch, sub)
+			}
 		}
 		f.err = err
 		c.mu.Unlock()
 		close(f.done)
+		c.demote(victims)
 		return stored
 	}
 	defer func() {
 		if !published {
-			publish(nil, 0, errLeaderAborted)
+			publish(nil, false, errLeaderAborted)
 		}
 	}()
 
-	mat, cost, err := compute()
-	stored := publish(mat, cost, err)
+	mat, store, err := compute()
+	stored := publish(mat, store, err)
 	if err != nil {
 		return nil, Outcome{}, err
 	}
@@ -600,16 +602,14 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Riders: c.riders,
 		Stores: c.stores, RejectedStores: c.rejected,
-		Evictions: c.evictions, SelfEvictions: c.selfEvictions,
-		Invalidations:     c.invalidated,
+		Evictions: c.evictions, Invalidations: c.invalidated,
 		SubsumptionProbes: c.subProbes, SubsumptionHits: c.subHits,
 		SubsumptionBytesSaved: c.subBytesSaved, RefilterWall: c.refilterWall,
 		Demotions: c.demotions, Promotions: c.promotions,
 		DiskEvictions: c.diskEvictions, WarmedFromDisk: c.warmed,
 		BytesResident: c.bytes, Entries: c.order.Len(),
 		BytesOnDisk: c.diskBytes, DiskEntries: c.diskOrder.Len(),
-		Epoch:      c.epoch,
-		PerSession: c.gate.Stats().PerSession,
+		Epoch: c.epoch,
 	}
 }
 

@@ -26,12 +26,17 @@ func mat(vals ...int64) *exec.Materialized {
 	}
 }
 
+// put stores mat under the current epoch.
+func put(c *Cache, f plan.Fingerprint, mat *exec.Materialized) bool {
+	return c.PutAt(f, mat, c.Epoch(), nil)
+}
+
 func TestGetPutAndEpoch(t *testing.T) {
 	c := New(Config{})
 	if _, ok := c.Get(fp("q1")); ok {
 		t.Fatal("empty cache served a result")
 	}
-	if !c.Put(fp("q1"), "", mat(1, 2, 3), time.Second) {
+	if !put(c, fp("q1"), mat(1, 2, 3)) {
 		t.Fatal("Put rejected with no cost floor")
 	}
 	got, ok := c.Get(fp("q1"))
@@ -48,30 +53,17 @@ func TestGetPutAndEpoch(t *testing.T) {
 	}
 }
 
-func TestCostAdmission(t *testing.T) {
-	c := New(Config{MinCost: time.Second})
-	if c.Put(fp("cheap"), "", mat(1), time.Millisecond) {
-		t.Fatal("cheap result admitted below the cost floor")
-	}
-	if !c.Put(fp("dear"), "", mat(1), 2*time.Second) {
-		t.Fatal("expensive result rejected")
-	}
-	if st := c.Stats(); st.RejectedStores != 1 || st.Stores != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestByteBudgetLRU(t *testing.T) {
 	one := mat(1, 2, 3, 4)
 	per := one.Batches[0].Bytes()
 	c := New(Config{MaxBytes: 2 * per})
-	c.Put(fp("a"), "", mat(1, 2, 3, 4), 0)
-	c.Put(fp("b"), "", mat(5, 6, 7, 8), 0)
+	put(c, fp("a"), mat(1, 2, 3, 4))
+	put(c, fp("b"), mat(5, 6, 7, 8))
 	// Touch a so b is the LRU victim.
 	if _, ok := c.Get(fp("a")); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put(fp("c"), "", mat(9, 10, 11, 12), 0)
+	put(c, fp("c"), mat(9, 10, 11, 12))
 	if _, ok := c.Get(fp("b")); ok {
 		t.Fatal("LRU kept the least recently served entry")
 	}
@@ -84,70 +76,24 @@ func TestByteBudgetLRU(t *testing.T) {
 	}
 }
 
-// TestOverShareSessionEvictsItsOwnEntriesFirst pins the per-session
-// eviction preference: when a session holding more than its share
-// stores another entry, the victim is that session's own oldest entry,
-// not another session's globally-older one.
-func TestOverShareSessionEvictsItsOwnEntriesFirst(t *testing.T) {
-	per := mat(1, 2, 3, 4).Batches[0].Bytes()
-	// Budget fits two entries; one session may hold at most half.
-	c := New(Config{MaxBytes: 2 * per, MaxSessionShare: 0.5})
-	c.Put(fp("other"), "frugal", mat(1, 2, 3, 4), 0)
-	c.Put(fp("fat1"), "dashboard", mat(5, 6, 7, 8), 0)
-	// dashboard's second store pushes it over its share AND the cache
-	// over budget: its own fat1 must go, not frugal's globally-oldest
-	// entry.
-	c.Put(fp("fat2"), "dashboard", mat(9, 10, 11, 12), 0)
-	if _, ok := c.Get(fp("other")); !ok {
-		t.Fatal("the frugal session's entry paid for the dashboard's pressure")
-	}
-	if _, ok := c.Get(fp("fat1")); ok {
-		t.Fatal("over-share session's own oldest entry survived")
-	}
-	if _, ok := c.Get(fp("fat2")); !ok {
-		t.Fatal("just-stored entry evicted")
-	}
-	st := c.Stats()
-	if st.SelfEvictions != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if got := st.PerSession["dashboard"].HeldBytes; got != per {
-		t.Errorf("dashboard resident bytes = %d, want %d", got, per)
-	}
-	if got := st.PerSession["frugal"].HeldBytes; got != per {
-		t.Errorf("frugal resident bytes = %d, want %d", got, per)
-	}
-
-	// Without the share cap the same sequence evicts plain LRU (the
-	// frugal session's older entry).
-	c2 := New(Config{MaxBytes: 2 * per})
-	c2.Put(fp("other"), "frugal", mat(1, 2, 3, 4), 0)
-	c2.Put(fp("fat1"), "dashboard", mat(5, 6, 7, 8), 0)
-	c2.Put(fp("fat2"), "dashboard", mat(9, 10, 11, 12), 0)
-	if _, ok := c2.Get(fp("other")); ok {
-		t.Fatal("global LRU kept the oldest entry without a share cap")
-	}
-	if st := c2.Stats(); st.SelfEvictions != 0 {
-		t.Fatalf("self-evictions without a share cap: %+v", st)
-	}
-}
-
 // TestBumpEpochReleasesSessionBytes: invalidation must return every
-// entry's bytes to its session, or quota pressure would outlive the
-// entries it came from.
+// entry's bytes to the resident ledger, or budget pressure would outlive
+// the entries it came from.
 func TestBumpEpochReleasesSessionBytes(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, MaxSessionShare: 0.5})
-	c.Put(fp("a"), "s1", mat(1, 2), 0)
-	c.Put(fp("b"), "s2", mat(3, 4), 0)
+	per := matBytes(mat(1, 2))
+	c := New(Config{MaxBytes: 2 * per})
+	put(c, fp("a"), mat(1, 2))
+	put(c, fp("b"), mat(3, 4))
 	c.BumpEpoch()
-	st := c.Stats()
-	if st.BytesResident != 0 {
-		t.Fatalf("resident bytes after bump = %d", st.BytesResident)
+	if st := c.Stats(); st.BytesResident != 0 || st.Entries != 0 {
+		t.Fatalf("occupancy after bump = %+v", st)
 	}
-	for name, s := range st.PerSession {
-		if s.HeldBytes != 0 {
-			t.Errorf("session %s still holds %d bytes after invalidation", name, s.HeldBytes)
-		}
+	// The whole budget is free again: two new entries fit without an
+	// eviction.
+	put(c, fp("c"), mat(5, 6))
+	put(c, fp("d"), mat(7, 8))
+	if st := c.Stats(); st.Evictions != 0 || st.BytesResident != 2*per {
+		t.Fatalf("stats after refill = %+v", st)
 	}
 }
 
@@ -166,10 +112,10 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+			m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 				executions.Add(1)
 				<-gate // hold the flight open until all riders queued
-				return mat(42), time.Second, nil
+				return mat(42), true, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -210,9 +156,9 @@ func TestSingleFlightCoalesces(t *testing.T) {
 		t.Fatalf("stored=%d ridden=%d, want 1/%d", stored, ridden, k-1)
 	}
 	// The stored entry now serves directly.
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 		t.Fatal("stored entry recomputed")
-		return nil, 0, nil
+		return nil, false, nil
 	})
 	if err != nil || !out.Hit || out.Rider || m.Rows() != 1 {
 		t.Fatalf("post-flight Do = %v, %+v, %v", m, out, err)
@@ -231,9 +177,9 @@ func TestFlightErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+			_, _, errs[i] = c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 				<-gate
-				return nil, 0, boom
+				return nil, false, boom
 			})
 		}(i)
 	}
@@ -262,9 +208,9 @@ func TestFlightErrorPropagates(t *testing.T) {
 // bump serves its result but does not retain it.
 func TestEpochRaceSkipsStore(t *testing.T) {
 	c := New(Config{})
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 		c.BumpEpoch() // the data changed mid-execution
-		return mat(1), time.Second, nil
+		return mat(1), true, nil
 	})
 	if err != nil || m.Rows() != 1 {
 		t.Fatalf("Do = %v, %v", m, err)
@@ -283,10 +229,10 @@ func TestNilCacheIsTransparent(t *testing.T) {
 	if _, ok := c.Get(fp("q")); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Put(fp("q"), "", mat(1), 0)
+	put(c, fp("q"), mat(1))
 	c.BumpEpoch()
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
-		return mat(7), 0, nil
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
+		return mat(7), true, nil
 	})
 	if err != nil || out.Hit || m.Rows() != 1 {
 		t.Fatalf("nil Do = %v, %+v, %v", m, out, err)
@@ -300,7 +246,7 @@ func TestNilCacheIsTransparent(t *testing.T) {
 // share can be mutated without corrupting the entry.
 func TestServedSharesAreIsolated(t *testing.T) {
 	c := New(Config{})
-	c.Put(fp("q"), "", mat(1, 2, 3), 0)
+	put(c, fp("q"), mat(1, 2, 3))
 	got, _ := c.Get(fp("q"))
 	served, err := exec.ServeCachedResult(got, &exec.Env{Mounts: &exec.MountStats{}})
 	if err != nil {
@@ -327,8 +273,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				key := fp(fmt.Sprintf("q%d", i%5))
 				switch i % 4 {
 				case 0:
-					c.Do(key, "", nil, func() (*exec.Materialized, time.Duration, error) {
-						return mat(int64(i)), time.Duration(i), nil
+					c.Do(key, nil, func() (*exec.Materialized, bool, error) {
+						return mat(int64(i)), true, nil
 					})
 				case 1:
 					if m, ok := c.Get(key); ok && m.Rows() != 1 {
@@ -336,7 +282,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 						return
 					}
 				case 2:
-					c.Put(key, "", mat(int64(g)), time.Duration(i))
+					put(c, key, mat(int64(g)))
 				default:
 					if i%40 == 3 {
 						c.BumpEpoch()
@@ -354,13 +300,13 @@ func TestPutAtEpochGuard(t *testing.T) {
 	c := New(Config{})
 	startEpoch := c.Epoch()
 	c.BumpEpoch() // the data changed while the query executed
-	if c.PutAt(fp("q"), "", mat(1), time.Second, startEpoch, nil) {
+	if c.PutAt(fp("q"), mat(1), startEpoch, nil) {
 		t.Fatal("stale-epoch result retained through PutAt")
 	}
 	if _, ok := c.Get(fp("q")); ok {
 		t.Fatal("stale-epoch result served")
 	}
-	if !c.PutAt(fp("q"), "", mat(1), time.Second, c.Epoch(), nil) {
+	if !c.PutAt(fp("q"), mat(1), c.Epoch(), nil) {
 		t.Fatal("current-epoch PutAt rejected")
 	}
 }
@@ -379,9 +325,9 @@ func TestRiderOutcomeMarkedOnLeaderError(t *testing.T) {
 	}
 	got := make(chan riderResult, 1)
 	go func() {
-		c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			<-gate
-			return nil, 0, context.Canceled // the leader's own ctx died
+			return nil, false, context.Canceled // the leader's own ctx died
 		})
 	}()
 	go func() {
@@ -394,9 +340,9 @@ func TestRiderOutcomeMarkedOnLeaderError(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		_, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		_, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			t.Error("rider recomputed instead of riding")
-			return nil, 0, nil
+			return nil, false, nil
 		})
 		got <- riderResult{out, err}
 	}()
@@ -422,8 +368,8 @@ func TestRiderOutcomeMarkedOnLeaderError(t *testing.T) {
 		t.Fatal("rider never woken")
 	}
 	// The dead flight left the table: the next Do recomputes cleanly.
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
-		return mat(42), time.Second, nil
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
+		return mat(42), true, nil
 	})
 	if err != nil || out.Hit || m.Rows() != 1 {
 		t.Fatalf("retry after dead leader = (%v, %+v, %v)", m, out, err)
@@ -444,7 +390,7 @@ func TestLeaderPanicWakesRiders(t *testing.T) {
 	go func() {
 		defer close(leaderDone)
 		defer func() { recover() }()
-		c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			<-gate
 			panic("engine invariant violation")
 		})
@@ -460,9 +406,9 @@ func TestLeaderPanicWakesRiders(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		_, _, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		_, _, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			t.Error("rider recomputed instead of riding")
-			return nil, 0, nil
+			return nil, false, nil
 		})
 		riderErr <- err
 	}()
@@ -487,8 +433,8 @@ func TestLeaderPanicWakesRiders(t *testing.T) {
 	}
 	<-leaderDone
 	// The flight table is clean: a fresh Do computes normally.
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
-		return mat(1), time.Second, nil
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
+		return mat(1), true, nil
 	})
 	if err != nil || out.Hit || m.Rows() != 1 {
 		t.Fatalf("post-panic Do = %v, %+v, %v", m, out, err)
@@ -503,9 +449,9 @@ func TestRiderIsNotAMiss(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			<-gate
-			return mat(1), time.Second, nil
+			return mat(1), true, nil
 		})
 	}()
 	for {
@@ -522,9 +468,9 @@ func TestRiderIsNotAMiss(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+			c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 				t.Error("rider recomputed")
-				return nil, 0, nil
+				return nil, false, nil
 			})
 		}()
 	}
@@ -555,9 +501,9 @@ func TestPostInvalidationQueryDoesNotRideStaleFlight(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+		c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 			<-gate
-			return mat(1), time.Second, nil
+			return mat(1), true, nil
 		})
 	}()
 	for {
@@ -572,9 +518,9 @@ func TestPostInvalidationQueryDoesNotRideStaleFlight(t *testing.T) {
 	c.BumpEpoch() // the data changed while the old flight is running
 
 	recomputed := false
-	m, out, err := c.Do(fp("q"), "", nil, func() (*exec.Materialized, time.Duration, error) {
+	m, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
 		recomputed = true
-		return mat(2), time.Second, nil
+		return mat(2), true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +560,7 @@ func subInfo(key string, lo, hi int64) *plan.SubsumptionInfo {
 func TestGetSubsumingServesWiderEntry(t *testing.T) {
 	c := New(Config{})
 	wideFp, wide := fp("wide"), subInfo("bucket", 0, 100)
-	if !c.PutAt(wideFp, "", mat(1, 2, 3), time.Second, c.Epoch(), wide) {
+	if !c.PutAt(wideFp, mat(1, 2, 3), c.Epoch(), wide) {
 		t.Fatal("indexed store rejected")
 	}
 	narrow := subInfo("bucket", 10, 20)
@@ -622,7 +568,7 @@ func TestGetSubsumingServesWiderEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("contained interval missed the wider entry")
 	}
-	if hit.Fp != wideFp || hit.Mat.Rows() != 3 || hit.Cost != time.Second {
+	if hit.Fp != wideFp || hit.Mat.Rows() != 3 {
 		t.Fatalf("hit = %+v", hit)
 	}
 	// The wider query must not be served by the narrower... entry the
@@ -643,7 +589,7 @@ func TestGetSubsumingServesWiderEntry(t *testing.T) {
 func TestGetSubsumingSkipsOwnFingerprint(t *testing.T) {
 	c := New(Config{})
 	sub := subInfo("bucket", 0, 100)
-	c.PutAt(fp("q"), "", mat(1), time.Second, c.Epoch(), sub)
+	c.PutAt(fp("q"), mat(1), c.Epoch(), sub)
 	// The exact entry is the exact-match path's business: the semantic
 	// probe must not serve an entry to its own fingerprint.
 	if _, ok := c.GetSubsuming(fp("q"), sub); ok {
@@ -653,8 +599,8 @@ func TestGetSubsumingSkipsOwnFingerprint(t *testing.T) {
 
 func TestGetSubsumingPrefersSmallestCandidate(t *testing.T) {
 	c := New(Config{})
-	c.PutAt(fp("huge"), "", mat(1, 2, 3, 4, 5, 6, 7, 8), time.Second, c.Epoch(), subInfo("bucket", 0, 1000))
-	c.PutAt(fp("small"), "", mat(1, 2), time.Second, c.Epoch(), subInfo("bucket", 0, 100))
+	c.PutAt(fp("huge"), mat(1, 2, 3, 4, 5, 6, 7, 8), c.Epoch(), subInfo("bucket", 0, 1000))
+	c.PutAt(fp("small"), mat(1, 2), c.Epoch(), subInfo("bucket", 0, 100))
 	hit, ok := c.GetSubsuming(fp("narrow"), subInfo("bucket", 10, 20))
 	if !ok || hit.Fp != fp("small") {
 		t.Fatalf("want the smallest containing entry, got %+v ok=%v", hit, ok)
@@ -664,7 +610,7 @@ func TestGetSubsumingPrefersSmallestCandidate(t *testing.T) {
 func TestSubsumptionIndexDropsWithEntry(t *testing.T) {
 	c := New(Config{})
 	sub := subInfo("bucket", 0, 100)
-	c.PutAt(fp("wide"), "", mat(1, 2, 3), time.Second, c.Epoch(), sub)
+	c.PutAt(fp("wide"), mat(1, 2, 3), c.Epoch(), sub)
 
 	// Epoch bump: the semantic index must not serve pre-bump entries.
 	c.BumpEpoch()
@@ -675,8 +621,8 @@ func TestSubsumptionIndexDropsWithEntry(t *testing.T) {
 	// Re-store, then evict via the byte budget: the bucket must follow.
 	per := mat(1, 2, 3, 4).Batches[0].Bytes()
 	c2 := New(Config{MaxBytes: per})
-	c2.PutAt(fp("wide"), "", mat(1, 2, 3, 4), time.Second, c2.Epoch(), subInfo("bucket", 0, 100))
-	c2.PutAt(fp("other"), "", mat(5, 6, 7, 8), time.Second, c2.Epoch(), nil)
+	c2.PutAt(fp("wide"), mat(1, 2, 3, 4), c2.Epoch(), subInfo("bucket", 0, 100))
+	c2.PutAt(fp("other"), mat(5, 6, 7, 8), c2.Epoch(), nil)
 	if _, ok := c2.GetSubsuming(fp("narrow"), subInfo("bucket", 10, 20)); ok {
 		t.Fatal("semantic index served an evicted entry")
 	}
@@ -684,21 +630,18 @@ func TestSubsumptionIndexDropsWithEntry(t *testing.T) {
 
 func TestDoNotStoreDeclinesRetention(t *testing.T) {
 	c := New(Config{})
-	if c.Put(fp("q"), "", mat(1), DoNotStore) {
-		t.Fatal("DoNotStore cost retained an entry")
-	}
-	st := c.Stats()
-	if st.Stores != 0 || st.RejectedStores != 0 {
-		t.Fatalf("DoNotStore must not count as store or rejection: %+v", st)
-	}
-	// Via Do: the leader declining retention still serves its riders.
-	got, out, err := c.Do(fp("q2"), "", nil, func() (*exec.Materialized, time.Duration, error) {
-		return mat(7), DoNotStore, nil
+	// A leader declining retention still serves its result, and the
+	// decline is neither a store nor a rejection.
+	got, out, err := c.Do(fp("q"), nil, func() (*exec.Materialized, bool, error) {
+		return mat(7), false, nil
 	})
 	if err != nil || out.Stored || got.Rows() != 1 {
-		t.Fatalf("Do with DoNotStore: %v %+v", err, out)
+		t.Fatalf("Do declining retention: %v %+v", err, out)
 	}
-	if _, ok := c.Get(fp("q2")); ok {
-		t.Fatal("DoNotStore result retained through Do")
+	if _, ok := c.Get(fp("q")); ok {
+		t.Fatal("declined result retained through Do")
+	}
+	if st := c.Stats(); st.Stores != 0 || st.RejectedStores != 0 {
+		t.Fatalf("a declined store must count as neither store nor rejection: %+v", st)
 	}
 }

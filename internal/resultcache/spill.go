@@ -10,16 +10,21 @@
 // queries after a restart are served with zero executions. Corrupt or
 // truncated spill files and manifests are ignored, never fatal: a bad
 // manifest means a cold start, a bad entry file means a miss.
+//
+// No spill file is read or written under c.mu. Demotion picks its
+// victims under the lock, writes their files with it released, and then
+// commits each victim still current — meanwhile hits are served from the
+// victim's frozen batches. Promotion marks the entry loading under the
+// lock, reads its file with the lock released, and commits; other probes
+// of the entry wait for that one read instead of repeating it.
 
 package resultcache
 
 import (
-	"container/list"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -30,92 +35,123 @@ import (
 // spillEnabled reports whether the disk tier is configured.
 func (c *Cache) spillEnabled() bool { return c.cfg.SpillDir != "" }
 
-func (c *Cache) diskModel() (storage.DiskModel, *storage.Clock) {
-	return c.cfg.Disk, c.cfg.Clock
+// demote writes the victims evictLocked (or Close) took out of the
+// resident tier to spill files, with c.mu released, then commits each one
+// to the disk tier if it is still the same entry at the same epoch. A
+// victim invalidated or replaced meanwhile has its file removed; one
+// whose write failed is evicted, so a full or broken disk degrades to
+// the spill-off behavior instead of erroring.
+func (c *Cache) demote(victims []*entry) {
+	if len(victims) == 0 {
+		return
+	}
+	paths := make([]string, len(victims))
+	for i, e := range victims {
+		if path, err := c.writeSpill(e); err == nil {
+			paths[i] = path
+		}
+	}
+	c.mu.Lock()
+	var stale []string
+	for i, e := range victims {
+		switch path := paths[i]; {
+		case c.entries[e.fp] != e || e.epoch != c.epoch:
+			stale = append(stale, path)
+		case path == "":
+			c.removeLocked(e)
+			c.evictions++
+		default:
+			e.mat, e.path = nil, path
+			e.el = c.diskOrder.PushFront(e)
+			c.diskBytes += e.bytes
+			c.demotions++
+			c.evictDiskLocked()
+		}
+	}
+	c.mu.Unlock()
+	removeFiles(stale)
 }
 
-// demoteLocked moves one resident entry (an element of c.order) to the
-// disk tier. On any I/O failure it reports false and leaves the entry
-// resident — the caller falls back to plain eviction, so a full or
-// broken disk degrades to the spill-off behavior instead of erroring.
-func (c *Cache) demoteLocked(el *list.Element) bool {
-	e := el.Value.(*entry)
+// writeSpill serializes a demotion victim's frozen batches to a new
+// spill file and returns its path.
+func (c *Cache) writeSpill(e *entry) (string, error) {
 	sf, err := storage.CreateSpillFile(c.cfg.SpillDir, "result-*.spill")
 	if err != nil {
-		return false
+		return "", err
 	}
 	kinds := make([]vector.Kind, len(e.schema))
 	for i, ci := range e.schema {
 		kinds[i] = ci.Kind
 	}
-	model, clock := c.diskModel()
-	w := storage.NewBatchWriter(sf.File(), kinds, model, clock)
+	w := storage.NewBatchWriter(sf.File(), kinds, c.cfg.Disk, c.cfg.Clock)
 	for _, b := range e.mat.Batches {
 		if err := w.Append(b); err != nil {
 			sf.Remove()
-			return false
+			return "", err
 		}
 	}
 	if err := w.Finish(); err != nil {
 		sf.Remove()
-		return false
+		return "", err
 	}
-	path, err := sf.Adopt()
-	if err != nil {
-		return false
-	}
-	c.order.Remove(el)
-	c.bytes -= e.bytes
-	c.gate.Release(e.session, e.bytes)
-	e.mat = nil
-	e.path = path
-	c.entries[e.fp] = c.diskOrder.PushFront(e)
-	c.diskBytes += e.bytes
-	c.demotions++
-	c.evictDiskLocked()
-	return true
+	return sf.Adopt()
 }
 
-// promoteLocked loads a spilled entry (an element of c.diskOrder) back
-// into the resident tier and returns its materialization. A corrupt or
-// missing spill file drops the entry silently — the probe becomes a
-// miss, never an error.
-func (c *Cache) promoteLocked(el *list.Element) (*exec.Materialized, bool) {
-	e := el.Value.(*entry)
-	model, clock := c.diskModel()
-	r, err := storage.OpenBatchReader(e.path, model, clock)
-	if err != nil {
-		c.removeLocked(el)
-		return nil, false
+// promote reads the spill file of an entry serveLocked marked loading,
+// with c.mu released, and commits the entry to the resident tier if it
+// is still the same entry at the same epoch. It returns the promoted
+// materialization, or nil when the entry went away meanwhile or its file
+// was corrupt or missing — then the entry is dropped and the probe
+// becomes a miss, never an error. Either way the file is removed and the
+// entry's waiters are woken.
+func (c *Cache) promote(e *entry) *exec.Materialized {
+	path := e.path
+	mat, err := c.readSpill(path, e.schema)
+	c.mu.Lock()
+	var victims []*entry
+	switch {
+	case c.entries[e.fp] != e || e.epoch != c.epoch:
+		mat = nil
+	case err != nil:
+		c.removeLocked(e)
+		mat = nil
+	default:
+		e.mat, e.path = mat, ""
+		e.bytes = matBytes(mat)
+		e.el = c.order.PushFront(e)
+		c.bytes += e.bytes
+		c.promotions++
+		victims = c.evictLocked()
 	}
+	close(e.loading)
+	e.loading = nil
+	c.mu.Unlock()
+	os.Remove(path)
+	c.demote(victims)
+	return mat
+}
+
+// readSpill loads a spill file back into a frozen materialization.
+func (c *Cache) readSpill(path string, schema []plan.ColInfo) (*exec.Materialized, error) {
+	r, err := storage.OpenBatchReader(path, c.cfg.Disk, c.cfg.Clock)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
 	var batches []*vector.Batch
 	for {
 		b, err := r.Next()
 		if err != nil {
-			r.Close()
-			c.removeLocked(el)
-			return nil, false
+			return nil, err
 		}
 		if b == nil {
 			break
 		}
 		batches = append(batches, b)
 	}
-	r.Close()
-	mat := &exec.Materialized{Schema: e.schema, Batches: batches}
+	mat := &exec.Materialized{Schema: schema, Batches: batches}
 	mat.Freeze()
-	c.diskOrder.Remove(el)
-	c.diskBytes -= e.bytes
-	os.Remove(e.path)
-	e.path = ""
-	e.mat = mat
-	e.bytes = matBytes(mat)
-	c.entries[e.fp] = c.order.PushFront(e)
-	c.bytes += e.bytes
-	c.gate.Charge(e.session, e.bytes)
-	c.promotions++
-	c.evictLocked(e.session)
-	return mat, true
+	return mat, nil
 }
 
 // evictDiskLocked enforces the disk-tier byte budget, oldest demotion
@@ -126,8 +162,17 @@ func (c *Cache) evictDiskLocked() {
 		return
 	}
 	for c.diskBytes > c.cfg.DiskMaxBytes && c.diskOrder.Len() > 1 {
-		c.removeLocked(c.diskOrder.Back())
+		c.removeLocked(c.diskOrder.Back().Value.(*entry))
 		c.diskEvictions++
+	}
+}
+
+// removeFiles deletes spill files no entry references any more.
+func removeFiles(paths []string) {
+	for _, p := range paths {
+		if p != "" {
+			os.Remove(p)
+		}
 	}
 }
 
@@ -137,24 +182,25 @@ func (c *Cache) evictDiskLocked() {
 // is a no-op. Close does not render the cache unusable, but it is meant
 // as the last call before process exit.
 func (c *Cache) Close() error {
-	if c == nil {
+	if c == nil || !c.spillEnabled() {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.spillEnabled() {
-		return nil
-	}
-	// Demote LRU-first: each demotion pushes to the disk tier's front, so
+	// Demote LRU-first: each commit pushes to the disk tier's front, so
 	// the resident recency order is preserved on top of what had already
 	// been demoted.
+	c.mu.Lock()
+	var victims []*entry
 	for el := c.order.Back(); el != nil; el = c.order.Back() {
-		//lint:allow lockcheck Close persists the whole resident tier under c.mu: shutdown demotion must not race concurrent probes (see spill.go)
-		if !c.demoteLocked(el) {
-			c.removeLocked(el) // cannot persist — drop rather than leak
-		}
+		e := el.Value.(*entry)
+		c.unlinkLocked(e)
+		victims = append(victims, e)
 	}
-	return c.writeManifestLocked()
+	c.mu.Unlock()
+	c.demote(victims)
+	c.mu.Lock()
+	m := c.manifestLocked()
+	c.mu.Unlock()
+	return writeManifest(c.cfg.SpillDir, m)
 }
 
 // manifest is the on-disk index of the spill directory. Entries are
@@ -166,10 +212,8 @@ type manifest struct {
 
 type manifestEntry struct {
 	Fingerprint string        `json:"fingerprint"`
-	Session     string        `json:"session,omitempty"`
 	File        string        `json:"file"`
 	Bytes       int64         `json:"bytes"`
-	CostNs      int64         `json:"cost_ns"`
 	Schema      []manifestCol `json:"schema"`
 	Sub         *manifestSub  `json:"sub,omitempty"`
 }
@@ -189,16 +233,15 @@ type manifestSub struct {
 	Intervals map[string]plan.Interval `json:"intervals"`
 }
 
-func (c *Cache) writeManifestLocked() error {
+// manifestLocked indexes the disk tier for the next process.
+func (c *Cache) manifestLocked() manifest {
 	m := manifest{Epoch: c.epoch}
 	for el := c.diskOrder.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		me := manifestEntry{
 			Fingerprint: e.fp.String(),
-			Session:     e.session,
 			File:        filepath.Base(e.path),
 			Bytes:       e.bytes,
-			CostNs:      int64(e.cost),
 		}
 		for _, ci := range e.schema {
 			me.Schema = append(me.Schema, manifestCol{Table: ci.Table, Name: ci.Name, Kind: int(ci.Kind)})
@@ -213,15 +256,20 @@ func (c *Cache) writeManifestLocked() error {
 		}
 		m.Entries = append(m.Entries, me)
 	}
+	return m
+}
+
+// writeManifest replaces dir's manifest atomically (write, then rename).
+func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(c.cfg.SpillDir, "manifest.tmp")
+	tmp := filepath.Join(dir, "manifest.tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(c.cfg.SpillDir, "manifest.json"))
+	return os.Rename(tmp, filepath.Join(dir, "manifest.json"))
 }
 
 // loadManifest warms the disk tier from a previous process's manifest.
@@ -268,11 +316,7 @@ func (c *Cache) loadManifest() {
 		if !ok {
 			continue
 		}
-		e := &entry{
-			fp: f, session: me.Session, bytes: me.Bytes,
-			epoch: c.epoch, cost: time.Duration(me.CostNs),
-			path: path, schema: schema,
-		}
+		e := &entry{fp: f, bytes: me.Bytes, epoch: c.epoch, path: path, schema: schema}
 		if me.Sub != nil {
 			if kb, err := hex.DecodeString(me.Sub.Key); err == nil && len(kb) == len(plan.SubsumptionKey{}) {
 				var key plan.SubsumptionKey
@@ -280,16 +324,10 @@ func (c *Cache) loadManifest() {
 				e.sub = &plan.SubsumptionInfo{Key: key, Intervals: me.Sub.Intervals}
 			}
 		}
-		c.entries[f] = c.diskOrder.PushBack(e) // manifest order is MRU-first
+		c.entries[f] = e
+		e.el = c.diskOrder.PushBack(e) // manifest order is MRU-first
 		c.diskBytes += e.bytes
-		if e.sub != nil && !e.sub.Key.IsZero() {
-			bucket := c.subindex[e.sub.Key]
-			if bucket == nil {
-				bucket = make(map[plan.Fingerprint]struct{})
-				c.subindex[e.sub.Key] = bucket
-			}
-			bucket[f] = struct{}{}
-		}
+		c.indexLocked(e)
 		referenced[filepath.Base(path)] = true
 		c.warmed++
 	}

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -34,10 +33,10 @@ func TestDemoteInsteadOfEvict(t *testing.T) {
 	dir := t.TempDir()
 	per := matBytes(mat(1, 2, 3))
 	c := New(Config{MaxBytes: per, SpillDir: dir})
-	if !c.Put(fp("old"), "", mat(1, 2, 3), time.Second) {
+	if !put(c, fp("old"), mat(1, 2, 3)) {
 		t.Fatal("first store rejected")
 	}
-	if !c.Put(fp("new"), "", mat(4, 5, 6), time.Second) {
+	if !put(c, fp("new"), mat(4, 5, 6)) {
 		t.Fatal("second store rejected")
 	}
 	st := c.Stats()
@@ -79,9 +78,9 @@ func TestDiskTierHasItsOwnLRU(t *testing.T) {
 	dir := t.TempDir()
 	per := matBytes(mat(1, 2, 3))
 	c := New(Config{MaxBytes: per, SpillDir: dir, DiskMaxBytes: per})
-	c.Put(fp("a"), "", mat(1, 2, 3), time.Second)
-	c.Put(fp("b"), "", mat(4, 5, 6), time.Second) // demotes a
-	c.Put(fp("c"), "", mat(7, 8, 9), time.Second) // demotes b, disk-evicts a
+	put(c, fp("a"), mat(1, 2, 3))
+	put(c, fp("b"), mat(4, 5, 6)) // demotes a
+	put(c, fp("c"), mat(7, 8, 9)) // demotes b, disk-evicts a
 	st := c.Stats()
 	if st.Demotions != 2 || st.DiskEvictions != 1 || st.DiskEntries != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -103,8 +102,8 @@ func TestBumpEpochClearsDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	per := matBytes(mat(1, 2, 3))
 	c := New(Config{MaxBytes: per, SpillDir: dir})
-	c.Put(fp("a"), "", mat(1, 2, 3), time.Second)
-	c.Put(fp("b"), "", mat(4, 5, 6), time.Second)
+	put(c, fp("a"), mat(1, 2, 3))
+	put(c, fp("b"), mat(4, 5, 6))
 	c.BumpEpoch()
 	st := c.Stats()
 	if st.Entries != 0 || st.DiskEntries != 0 || st.BytesOnDisk != 0 {
@@ -127,10 +126,10 @@ func TestCloseReopenWarmsCache(t *testing.T) {
 	c := New(Config{SpillDir: dir})
 	c.BumpEpoch() // a non-zero epoch must survive the restart
 	sub := subInfo("bucket", 0, 100)
-	if !c.PutAt(fp("plain"), "s1", mat(1, 2, 3), time.Second, c.Epoch(), nil) {
+	if !c.PutAt(fp("plain"), mat(1, 2, 3), c.Epoch(), nil) {
 		t.Fatal("store rejected")
 	}
-	if !c.PutAt(fp("wide"), "s2", mat(4, 5, 6, 7), 2*time.Second, c.Epoch(), sub) {
+	if !c.PutAt(fp("wide"), mat(4, 5, 6, 7), c.Epoch(), sub) {
 		t.Fatal("indexed store rejected")
 	}
 	if err := c.Close(); err != nil {
@@ -147,7 +146,7 @@ func TestCloseReopenWarmsCache(t *testing.T) {
 		t.Fatalf("warmed entry not served: %v %v", got, ok)
 	}
 	hit, ok := c2.GetSubsuming(fp("narrow"), subInfo("bucket", 10, 20))
-	if !ok || hit.Fp != fp("wide") || hit.Mat.Rows() != 4 || hit.Cost != 2*time.Second {
+	if !ok || hit.Fp != fp("wide") || hit.Mat.Rows() != 4 {
 		t.Fatalf("warmed subsumption probe = %+v ok=%v", hit, ok)
 	}
 	// Served shares stay copy-on-write isolated, as with resident entries.
@@ -168,8 +167,8 @@ func TestCloseReopenWarmsCache(t *testing.T) {
 func TestReopenIgnoresCorruptState(t *testing.T) {
 	dir := t.TempDir()
 	c := New(Config{SpillDir: dir})
-	c.Put(fp("a"), "", mat(1, 2, 3), time.Second)
-	c.Put(fp("b"), "", mat(4, 5, 6), time.Second)
+	put(c, fp("a"), mat(1, 2, 3))
+	put(c, fp("b"), mat(4, 5, 6))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestReopenIgnoresCorruptState(t *testing.T) {
 		t.Fatal("unreferenced spill file not swept")
 	}
 	// And the cache still works after the cold start.
-	if !c3.Put(fp("fresh"), "", mat(9), time.Second) {
+	if !put(c3, fp("fresh"), mat(9)) {
 		t.Fatal("cache unusable after corrupt reopen")
 	}
 }
@@ -240,7 +239,7 @@ func TestWarmedEntriesKeepKinds(t *testing.T) {
 		)},
 	}
 	c := New(Config{SpillDir: dir})
-	if !c.Put(fp("mixed"), "", m, time.Second) {
+	if !put(c, fp("mixed"), m) {
 		t.Fatal("store rejected")
 	}
 	if err := c.Close(); err != nil {

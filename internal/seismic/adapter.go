@@ -147,16 +147,12 @@ func (a *Adapter) ExtractMetadata(path, uri string) (catalog.FileMeta, []catalog
 	return fileMeta, records, nil
 }
 
-// Mount implements catalog.FormatAdapter: extract, transform (decompress
-// and materialize per-sample timestamps) and return the file's rows of D.
-// Records rejected by keep are skipped without decompression.
-func (a *Adapter) Mount(path, uri string, keep func(catalog.RecordMeta) bool) (*vector.Batch, error) {
-	return catalog.CollectMount(a, path, uri, keep)
-}
-
-// MountStream implements catalog.FormatAdapter: records are decoded one
-// at a time off the mseed reader and yielded in record-aligned batches,
-// so consumers see data while the file is still being decompressed.
+// MountStream implements catalog.FormatAdapter: extract and transform
+// (decompress and materialize per-sample timestamps) the file's rows of
+// D. Records are decoded one at a time off the mseed reader and yielded
+// in record-aligned batches, so consumers see data while the file is
+// still being decompressed; records rejected by keep are skipped without
+// decompression.
 func (a *Adapter) MountStream(path, uri string, keep func(catalog.RecordMeta) bool, batchRows int, emit func(*vector.Batch) error) error {
 	if batchRows <= 0 {
 		batchRows = vector.DefaultBatchSize

@@ -81,7 +81,7 @@ func TestMountRowsMatchMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := a.Mount(m.Path(uri), uri, nil)
+	b, err := catalog.CollectMount(a, m.Path(uri), uri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMountWithRecordFilter(t *testing.T) {
 	m, spec := genOne(t)
 	a := NewAdapter()
 	uri := m.Files[0].URI
-	b, err := a.Mount(m.Path(uri), uri, func(rm catalog.RecordMeta) bool {
+	b, err := catalog.CollectMount(a, m.Path(uri), uri, func(rm catalog.RecordMeta) bool {
 		return rm.RecordID == 1
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestMountWithRecordFilter(t *testing.T) {
 
 func TestMountMissingFile(t *testing.T) {
 	a := NewAdapter()
-	if _, err := a.Mount("/nonexistent/x.mseed", "x.mseed", nil); err == nil {
+	if _, err := catalog.CollectMount(a, "/nonexistent/x.mseed", "x.mseed", nil); err == nil {
 		t.Error("missing file mounted without error")
 	}
 	if _, _, err := a.ExtractMetadata("/nonexistent/x.mseed", "x.mseed"); err == nil {
@@ -183,7 +183,7 @@ func TestMountStreamParity(t *testing.T) {
 	m, _ := genOne(t)
 	a := NewAdapter()
 	uri := m.Files[0].URI
-	whole, err := a.Mount(m.Path(uri), uri, nil)
+	whole, err := catalog.CollectMount(a, m.Path(uri), uri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,14 +272,14 @@ func WriteBatches(path string, kinds []vector.Kind, batches []*vector.Batch, mod
 // a writer is still appending, as long as the caller only asks for
 // frames the writer has already written).
 type BatchReader struct {
-	f       *os.File
-	kinds   []vector.Kind
-	dict    []string
-	model   DiskModel
-	clock   *Clock
-	read    int // batch frames decoded
-	first   bool
-	done    bool
+	f     *os.File
+	kinds []vector.Kind
+	dict  []string
+	model DiskModel
+	clock *Clock
+	read  int // batch frames decoded
+	first bool
+	done  bool
 }
 
 // OpenBatchReader opens a spill file and validates its header.
@@ -368,6 +368,19 @@ func (r *BatchReader) Next() (*vector.Batch, error) {
 		r.done = true
 		return nil, nil
 	case spillFrameBatch:
+		// A corrupt length must not allocate: the payload has to fit in
+		// what the file holds past this frame header.
+		pos, err := r.f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return nil, fmt.Errorf("storage: spill frame %d: %w", r.read, err)
+		}
+		fi, err := r.f.Stat()
+		if err != nil {
+			return nil, fmt.Errorf("storage: spill frame %d: %w", r.read, err)
+		}
+		if int64(n) > fi.Size()-pos {
+			return nil, fmt.Errorf("%w: frame %d claims %d bytes, %d left", ErrCorruptSpill, r.read, n, fi.Size()-pos)
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r.f, payload); err != nil {
 			return nil, fmt.Errorf("%w: torn frame %d", ErrCorruptSpill, r.read)

@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/vector"
@@ -276,6 +278,42 @@ func TestSpillCorruptionDetected(t *testing.T) {
 	mangle("no-end.spill", func(b []byte) []byte { return b[:len(b)-5] })
 	mangle("tag.spill", func(b []byte) []byte { b[len(spillMagic)+4+len(kinds)] = 77; return b })
 	mangle("empty.spill", func(b []byte) []byte { return b[:0] })
+}
+
+// TestSpillHostileFrameLength: a batch frame whose length field claims
+// almost 4 GiB in a small file is ErrCorruptSpill, and the claimed bytes
+// are never allocated.
+func TestSpillHostileFrameLength(t *testing.T) {
+	kinds := []vector.Kind{vector.KindInt64}
+	path := filepath.Join(t.TempDir(), "hostile.spill")
+	batch := vector.NewBatch(vector.FromInt64([]int64{1, 2, 3}))
+	if err := WriteBatches(path, kinds, []*vector.Batch{batch}, NoCost(), nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first frame: a tag byte, then its little-endian length.
+	binary.LittleEndian.PutUint32(raw[len(spillMagic)+4+len(kinds)+1:], 0xFFFFFFF0)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBatchReader(path, NoCost(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("Next = %v, want ErrCorruptSpill", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("corrupt frame length allocated %d bytes", n)
+	}
 }
 
 // TestSpillFilePairing pins the SpillFile ownership contract the
