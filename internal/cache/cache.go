@@ -13,13 +13,16 @@
 //
 // Policies control retention: NeverCache reproduces the paper's
 // preliminary setup ("ingested data is discarded as soon as the query
-// has been evaluated"), LRU retains within a memory bound.
+// has been evaluated"), LRU retains within a memory bound. Entries live
+// in an internal/store keyed by URI, which owns the byte-budget LRU and
+// the fill generations that keep a Drop or Clear from being undone by a
+// fill that began before it.
 package cache
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
 
+	"repro/internal/store"
 	"repro/internal/vector"
 )
 
@@ -96,37 +99,18 @@ type Stats struct {
 
 // Manager is the ingestion cache. It is safe for concurrent use.
 type Manager struct {
-	cfg Config
-
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List          // front = most recently used
-	pending map[string]*Pending // in-progress streaming Puts, by URI
-	bytes   int64
-	hits    int64
-	misses  int64
-	evicted int64
-	// onInvalidate runs (outside the lock) after Drop or Clear: both mean
-	// "the underlying data may have changed", the signal layers above —
-	// the engine's result cache — use to bump their invalidation epoch.
-	onInvalidate func()
-}
-
-type entry struct {
-	uri   string
-	batch *vector.Batch
-	span  Span
-	bytes int64
+	cfg          Config
+	store        *store.Store[string, Span]
+	hits, misses atomic.Int64
+	// onInvalidate runs after Drop or Clear: both mean "the underlying
+	// data may have changed", the signal layers above — the engine's
+	// result cache — use to bump their invalidation epoch.
+	onInvalidate atomic.Pointer[func()]
 }
 
 // New returns a manager with the given configuration.
 func New(cfg Config) *Manager {
-	return &Manager{
-		cfg:     cfg,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
-		pending: make(map[string]*Pending),
-	}
+	return &Manager{cfg: cfg, store: store.New[string, Span](store.Config{MaxBytes: cfg.MaxBytes})}
 }
 
 // Config returns the manager's configuration.
@@ -135,15 +119,11 @@ func (m *Manager) Config() Config { return m.cfg }
 // SetOnInvalidate registers fn to run after every Drop or Clear — the
 // two operations that signal the underlying data changed (an eviction by
 // byte budget does not: the repository files are still what they were).
-// fn is invoked outside the manager lock and must be safe for concurrent
-// use.
+// fn is invoked outside any lock and must be safe for concurrent use.
 func (m *Manager) SetOnInvalidate(fn func()) {
-	if m == nil {
-		return
+	if m != nil {
+		m.onInvalidate.Store(&fn)
 	}
-	m.mu.Lock()
-	m.onInvalidate = fn
-	m.mu.Unlock()
 }
 
 // Contains reports whether a query needing the given span of uri can be
@@ -152,215 +132,91 @@ func (m *Manager) Contains(uri string, need Span) bool {
 	if m == nil || m.cfg.Policy == NeverCache {
 		return false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[uri]
-	return ok && el.Value.(*entry).span.Contains(need)
+	span, _, ok := m.store.Meta(uri)
+	return ok && span.Contains(need)
 }
 
-// Get returns a copy-on-write share of the cached batch for uri if it
-// covers the needed span. The share is O(1): consumers read the entry's
-// storage directly and may mutate their share freely — the first write
-// materializes a private copy, so the entry can never be corrupted.
-func (m *Manager) Get(uri string, need Span) (*vector.Batch, bool) {
+// Get returns copy-on-write shares of the cached batches for uri if the
+// entry covers the needed span. Sharing is O(1) per batch: consumers
+// read the entry's storage directly and may mutate their shares freely —
+// the first write materializes a private copy, so the entry can never be
+// corrupted.
+func (m *Manager) Get(uri string, need Span) ([]*vector.Batch, bool) {
 	if m == nil || m.cfg.Policy == NeverCache {
 		return nil, false
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[uri]
-	if !ok || !el.Value.(*entry).span.Contains(need) {
-		m.misses++
+	batches, span, ok := m.store.Resident(uri) // no disk tier: every entry is resident
+	if !ok || !span.Contains(need) {
+		m.misses.Add(1)
 		return nil, false
 	}
-	m.order.MoveToFront(el)
-	m.hits++
-	return el.Value.(*entry).batch.Share(), true
+	m.hits.Add(1)
+	out := make([]*vector.Batch, len(batches))
+	for i, b := range batches {
+		out[i] = b.Share()
+	}
+	return out, true
 }
 
-// Put stores mounted data. With FileGranular configuration the span is
-// forced to Full (callers pass the whole mounted file); TupleGranular
-// callers pass the filtered batch and the span its tuples cover. A
-// NeverCache manager ignores Put, as does a Put racing a streaming
-// insertion that holds the URI's reservation (the stream owns the
-// entry; a second insert would double-count it).
-func (m *Manager) Put(uri string, b *vector.Batch, span Span) {
-	if m == nil || m.cfg.Policy == NeverCache || b == nil {
-		return
+// Gen returns the ticket a fill takes before it starts extracting and
+// later passes to Put: a Drop of the fill's URI or a Clear in between
+// voids the fill.
+func (m *Manager) Gen() uint64 {
+	if m == nil {
+		return 0
 	}
-	if m.cfg.Granularity == FileGranular {
-		span = FullSpan()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pending[uri] != nil {
-		return
-	}
-	m.putLocked(uri, b, span)
+	return m.store.Gen()
 }
 
-// putLocked inserts an entry; callers hold the lock. The entry holds its
-// own frozen share of b: the caller keeps mutating its handle without
-// affecting the entry, and no later handle mistake can corrupt it.
-func (m *Manager) putLocked(uri string, b *vector.Batch, span Span) {
-	if el, ok := m.entries[uri]; ok {
-		old := el.Value.(*entry)
-		m.bytes -= old.bytes
-		m.order.Remove(el)
-		delete(m.entries, uri)
-	}
-	stored := b.Share()
-	stored.Freeze()
-	e := &entry{uri: uri, batch: stored, span: span, bytes: stored.Bytes()}
-	m.entries[uri] = m.order.PushFront(e)
-	m.bytes += e.bytes
-	m.evict()
-}
-
-// Pending is an in-progress streaming insertion started by BeginPut: the
-// entry is assembled batch by batch while a file is being mounted, and
-// becomes visible atomically at Commit. Append takes copy-on-write
-// shares: a single-batch file is adopted in O(1), and only a second
-// batch materializes a private accumulation buffer — the finished entry
-// can never observe execution-side mutations either way. All methods
-// are nil-safe (a nil Pending ignores every call), letting callers
-// thread the result of BeginPut through unconditionally.
-type Pending struct {
-	m     *Manager
-	uri   string
-	batch *vector.Batch
-	// aborted is set (under the manager lock) by Abort, or by Drop/Clear
-	// racing the stream: a URI invalidated mid-flight must not be
-	// resurrected by Commit.
-	aborted bool
-}
-
-// BeginPut reserves uri for a streaming insertion. It returns nil when
-// the manager never caches or another streaming insertion already holds
-// the reservation — the reservation is what keeps one file being
-// mounted from being double-inserted. The reservation is released by
-// Commit or Abort.
-func (m *Manager) BeginPut(uri string) *Pending {
+// Put stores mounted data: the batch list of one file, taken by a fill
+// that began at ticket since (see Gen). With FileGranular configuration
+// the span is forced to Full (callers pass the whole mounted file, and a
+// file that yielded no batches stores nothing); TupleGranular callers
+// pass the filtered batches and the span their tuples cover — an empty
+// list records that no tuple of the span qualifies. The entry adopts the
+// batch handles and freezes them: callers pass handles of their own
+// (shares). A NeverCache manager ignores Put, as does the store for a
+// fill a Drop or Clear voided.
+func (m *Manager) Put(uri string, batches []*vector.Batch, span Span, since uint64) {
 	if m == nil || m.cfg.Policy == NeverCache {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.pending[uri] != nil {
-		return nil
-	}
-	p := &Pending{m: m, uri: uri}
-	m.pending[uri] = p
-	return p
-}
-
-// Append adds a batch's rows to the pending entry. The first batch is
-// adopted as an O(1) share; a second batch triggers the copy-on-write
-// materialization and appends. Once the insertion is aborted (directly,
-// or by Drop/Clear racing the stream) appends become no-ops rather than
-// accumulating rows Commit will discard anyway.
-func (p *Pending) Append(b *vector.Batch) {
-	if p == nil || b == nil || b.Len() == 0 {
 		return
 	}
-	p.m.mu.Lock()
-	aborted := p.aborted
-	p.m.mu.Unlock()
-	if aborted {
-		p.batch = nil
-		return
-	}
-	if p.batch == nil {
-		p.batch = b.Share()
-		return
-	}
-	for i, c := range b.Cols {
-		p.batch.Cols[i].AppendVector(c)
-	}
-}
-
-// Commit publishes the assembled entry under the given span and releases
-// the reservation. A pending insertion that never saw a batch commits
-// nothing (the file had no rows to retain), and one whose URI was
-// dropped or cleared mid-stream commits nothing either — the
-// invalidation wins.
-func (p *Pending) Commit(span Span) {
-	if p == nil {
-		return
-	}
-	m := p.m
 	if m.cfg.Granularity == FileGranular {
+		if len(batches) == 0 {
+			return
+		}
 		span = FullSpan()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p.aborted {
-		return
-	}
-	delete(m.pending, p.uri)
-	if p.batch != nil {
-		m.putLocked(p.uri, p.batch, span)
-	}
+	m.store.Put(uri, span, batches, since)
 }
 
-// Abort discards the pending entry and releases the reservation.
-func (p *Pending) Abort() {
-	if p == nil {
-		return
-	}
-	p.m.mu.Lock()
-	defer p.m.mu.Unlock()
-	if !p.aborted {
-		p.aborted = true
-		delete(p.m.pending, p.uri)
-	}
-	p.batch = nil
-}
-
-// Drop removes one entry (e.g. when the underlying file changed). A
-// streaming insertion in progress for the URI is invalidated too: its
-// Commit becomes a no-op, so dropped data cannot be resurrected.
+// Drop removes one entry (e.g. when the underlying file changed) and
+// voids every fill of the URI in progress, so dropped data cannot be
+// resurrected.
 func (m *Manager) Drop(uri string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	if p, ok := m.pending[uri]; ok {
-		p.aborted = true
-		delete(m.pending, uri)
-	}
-	if el, ok := m.entries[uri]; ok {
-		m.bytes -= el.Value.(*entry).bytes
-		m.order.Remove(el)
-		delete(m.entries, uri)
-	}
-	fn := m.onInvalidate
-	m.mu.Unlock()
+	m.store.Remove(uri)
 	// Drop means "this file changed" whether or not it was resident:
 	// layers above must hear about it either way.
-	if fn != nil {
-		fn()
-	}
+	m.invalidated()
 }
 
-// Clear empties the cache and invalidates in-progress streaming
-// insertions: a flight racing the clear must not repopulate it.
+// Clear empties the cache and voids every fill in progress: a flight
+// racing the clear must not repopulate it.
 func (m *Manager) Clear() {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	for _, p := range m.pending {
-		p.aborted = true
-	}
-	m.pending = make(map[string]*Pending)
-	m.entries = make(map[string]*list.Element)
-	m.order = list.New()
-	m.bytes = 0
-	fn := m.onInvalidate
-	m.mu.Unlock()
-	if fn != nil {
-		fn()
+	m.store.Clear()
+	m.invalidated()
+}
+
+// invalidated runs the invalidation hook.
+func (m *Manager) invalidated() {
+	if fn := m.onInvalidate.Load(); fn != nil && *fn != nil {
+		(*fn)()
 	}
 }
 
@@ -369,35 +225,9 @@ func (m *Manager) Stats() Stats {
 	if m == nil {
 		return Stats{}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	ss := m.store.Stats()
 	return Stats{
-		Hits: m.hits, Misses: m.misses, Evictions: m.evicted,
-		BytesResident: m.bytes, Entries: len(m.entries),
+		Hits: m.hits.Load(), Misses: m.misses.Load(), Evictions: ss.Evictions,
+		BytesResident: ss.BytesResident, Entries: ss.Entries,
 	}
-}
-
-// evict enforces the byte budget; callers hold the lock.
-func (m *Manager) evict() {
-	if m.cfg.MaxBytes <= 0 {
-		return
-	}
-	for m.bytes > m.cfg.MaxBytes && m.order.Len() > 1 {
-		oldest := m.order.Back()
-		e := oldest.Value.(*entry)
-		m.order.Remove(oldest)
-		delete(m.entries, e.uri)
-		m.bytes -= e.bytes
-		m.evicted++
-	}
-}
-
-// BatchBytes estimates the resident size of a batch. It is the
-// vector-level estimate (Batch.Bytes), kept exported so cache consumers
-// size their budgets in the same unit the cache charges.
-func BatchBytes(b *vector.Batch) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.Bytes()
 }

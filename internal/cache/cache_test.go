@@ -18,9 +18,21 @@ func batchOfRows(n int) *vector.Batch {
 	return vector.NewBatch(vector.FromInt64(xs), vector.FromString(ss))
 }
 
+// one wraps a batch as a single-batch fill.
+func one(b *vector.Batch) []*vector.Batch { return []*vector.Batch{b} }
+
+// rows totals the rows of a batch list.
+func rows(bs []*vector.Batch) int {
+	n := 0
+	for _, b := range bs {
+		n += b.Len()
+	}
+	return n
+}
+
 func TestNeverCacheDiscards(t *testing.T) {
 	m := New(Config{Policy: NeverCache})
-	m.Put("a", batchOfRows(10), FullSpan())
+	m.Put("a", one(batchOfRows(10)), FullSpan(), m.Gen())
 	if _, ok := m.Get("a", FullSpan()); ok {
 		t.Error("NeverCache retained data")
 	}
@@ -34,12 +46,12 @@ func TestNeverCacheDiscards(t *testing.T) {
 
 func TestFileGranularHit(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 10, Hi: 20}) // span forced to Full
+	m.Put("a", one(batchOfRows(5)), Span{Lo: 10, Hi: 20}, m.Gen()) // span forced to Full
 	if !m.Contains("a", Span{Lo: 0, Hi: 1000}) {
 		t.Error("file-granular entry should cover any span")
 	}
 	b, ok := m.Get("a", Span{Lo: -5, Hi: 5})
-	if !ok || b.Len() != 5 {
+	if !ok || rows(b) != 5 {
 		t.Error("Get failed")
 	}
 	st := m.Stats()
@@ -50,7 +62,7 @@ func TestFileGranularHit(t *testing.T) {
 
 func TestTupleGranularContainment(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: TupleGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 100, Hi: 200})
+	m.Put("a", one(batchOfRows(5)), Span{Lo: 100, Hi: 200}, m.Gen())
 	if !m.Contains("a", Span{Lo: 120, Hi: 180}) {
 		t.Error("contained span rejected")
 	}
@@ -83,15 +95,15 @@ func TestSpanContains(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	one := BatchBytes(batchOfRows(100))
-	m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: one*2 + 10})
-	m.Put("a", batchOfRows(100), FullSpan())
-	m.Put("b", batchOfRows(100), FullSpan())
+	per := batchOfRows(100).Bytes()
+	m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: per*2 + 10})
+	m.Put("a", one(batchOfRows(100)), FullSpan(), m.Gen())
+	m.Put("b", one(batchOfRows(100)), FullSpan(), m.Gen())
 	// Touch a so b is the LRU victim... (a most recent)
 	if _, ok := m.Get("a", FullSpan()); !ok {
 		t.Fatal("warm get failed")
 	}
-	m.Put("c", batchOfRows(100), FullSpan())
+	m.Put("c", one(batchOfRows(100)), FullSpan(), m.Gen())
 	if m.Contains("b", FullSpan()) {
 		t.Error("LRU should have evicted b")
 	}
@@ -105,21 +117,21 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPutReplaces(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: TupleGranular})
-	m.Put("a", batchOfRows(5), Span{Lo: 0, Hi: 10})
-	m.Put("a", batchOfRows(50), Span{Lo: 0, Hi: 100})
+	m.Put("a", one(batchOfRows(5)), Span{Lo: 0, Hi: 10}, m.Gen())
+	m.Put("a", one(batchOfRows(50)), Span{Lo: 0, Hi: 100}, m.Gen())
 	if m.Stats().Entries != 1 {
 		t.Errorf("entries = %d after replace", m.Stats().Entries)
 	}
 	b, ok := m.Get("a", Span{Lo: 0, Hi: 100})
-	if !ok || b.Len() != 50 {
+	if !ok || rows(b) != 50 {
 		t.Error("replacement not visible")
 	}
 }
 
 func TestDropAndClear(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("a", batchOfRows(5), FullSpan())
-	m.Put("b", batchOfRows(5), FullSpan())
+	m.Put("a", one(batchOfRows(5)), FullSpan(), m.Gen())
+	m.Put("b", one(batchOfRows(5)), FullSpan(), m.Gen())
 	m.Drop("a")
 	if m.Contains("a", FullSpan()) {
 		t.Error("dropped entry still present")
@@ -132,7 +144,7 @@ func TestDropAndClear(t *testing.T) {
 
 func TestNilManagerSafe(t *testing.T) {
 	var m *Manager
-	m.Put("a", batchOfRows(1), FullSpan())
+	m.Put("a", one(batchOfRows(1)), FullSpan(), m.Gen())
 	if _, ok := m.Get("a", FullSpan()); ok {
 		t.Error("nil manager returned data")
 	}
@@ -144,21 +156,11 @@ func TestNilManagerSafe(t *testing.T) {
 	_ = m.Stats()
 }
 
-func TestBatchBytes(t *testing.T) {
-	if BatchBytes(nil) != 0 {
-		t.Error("nil batch has bytes")
-	}
-	b := vector.NewBatch(vector.FromInt64([]int64{1, 2}), vector.FromBool([]bool{true, false}))
-	if got := BatchBytes(b); got != 2*8+2 {
-		t.Errorf("BatchBytes = %d, want 18", got)
-	}
-}
-
 func TestBudgetInvariantProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		m := New(Config{Policy: LRU, Granularity: FileGranular, MaxBytes: 2000})
 		for i, s := range sizes {
-			m.Put(fmt.Sprintf("f%d", i), batchOfRows(int(s)), FullSpan())
+			m.Put(fmt.Sprintf("f%d", i), one(batchOfRows(int(s))), FullSpan(), m.Gen())
 		}
 		st := m.Stats()
 		// Budget holds unless a single entry exceeds it (kept to stay useful).
@@ -178,35 +180,25 @@ func TestPolicyAndGranularityStrings(t *testing.T) {
 	}
 }
 
+// TestStreamingPutAssemblesEntry: the batches a flight extracts become
+// one entry, in extraction order.
 func TestStreamingPutAssemblesEntry(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	if p == nil {
-		t.Fatal("BeginPut refused a fresh URI")
-	}
-	p.Append(batchOfRows(3))
-	p.Append(batchOfRows(2))
-	// Invisible until committed.
-	if _, ok := m.Get("f1", FullSpan()); ok {
-		t.Fatal("pending entry visible before Commit")
-	}
-	p.Commit(FullSpan())
-	b, ok := m.Get("f1", FullSpan())
-	if !ok || b.Len() != 5 {
-		t.Fatalf("committed entry has %d rows, want 5", b.Len())
+	m.Put("f1", []*vector.Batch{batchOfRows(3), batchOfRows(2)}, FullSpan(), m.Gen())
+	bs, ok := m.Get("f1", FullSpan())
+	if !ok || rows(bs) != 5 || len(bs) != 2 || bs[1].Len() != 2 {
+		t.Fatalf("entry = %d rows in %d batches, want 5 in 2", rows(bs), len(bs))
 	}
 }
 
 func TestStreamingPutIsolatedFromAppendedBatches(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
 	src := batchOfRows(4)
-	p.Append(src)
+	m.Put("f1", one(src.Share()), FullSpan(), m.Gen())
 	src.Cols[0].Set(0, vector.Int64(-77)) // the flight's batch is mutated later
-	p.Commit(FullSpan())
 	b, _ := m.Get("f1", FullSpan())
-	if b.Cols[0].Int64s()[0] != 0 {
-		t.Error("streaming Put aliased the appended batch")
+	if b[0].Cols[0].Int64s()[0] != 0 {
+		t.Error("Put aliased the filled batch")
 	}
 }
 
@@ -215,118 +207,88 @@ func TestStreamingPutIsolatedFromAppendedBatches(t *testing.T) {
 // sanctioned mutation API) never corrupts the entry.
 func TestGetSharesAreCopyOnWrite(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	m.Put("f1", batchOfRows(4), FullSpan())
+	m.Put("f1", one(batchOfRows(4)), FullSpan(), m.Gen())
 	got, ok := m.Get("f1", FullSpan())
 	if !ok {
 		t.Fatal("miss")
 	}
-	got.Cols[0].Set(0, vector.Int64(-1))
-	vals := got.Cols[0].MutableInt64s()
+	got[0].Cols[0].Set(0, vector.Int64(-1))
+	vals := got[0].Cols[0].MutableInt64s()
 	for i := range vals {
 		vals[i] = -9
 	}
 	again, _ := m.Get("f1", FullSpan())
-	if again.Cols[0].Int64s()[0] != 0 {
+	if again[0].Cols[0].Int64s()[0] != 0 {
 		t.Error("cached entry corrupted through a consumer's share")
 	}
 }
 
-func TestReservationBlocksDoubleInsert(t *testing.T) {
+// TestRepeatedFillReplacesEntry: two fills of one URI never
+// double-insert — the later one replaces the entry, and the ledger
+// counts one entry's bytes.
+func TestRepeatedFillReplacesEntry(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	if p == nil {
-		t.Fatal("BeginPut failed")
+	first, second := m.Gen(), m.Gen()
+	m.Put("f1", one(batchOfRows(9)), FullSpan(), first)
+	m.Put("f1", one(batchOfRows(2)), FullSpan(), second)
+	if b, ok := m.Get("f1", FullSpan()); !ok || rows(b) != 2 {
+		t.Error("the later fill did not replace the entry")
 	}
-	if m.BeginPut("f1") != nil {
-		t.Error("second streaming insertion reserved an already reserved URI")
-	}
-	// A plain Put racing the streaming insertion is dropped.
-	m.Put("f1", batchOfRows(9), FullSpan())
-	if _, ok := m.Get("f1", FullSpan()); ok {
-		t.Error("Put bypassed the reservation")
-	}
-	p.Append(batchOfRows(2))
-	p.Commit(FullSpan())
-	if b, ok := m.Get("f1", FullSpan()); !ok || b.Len() != 2 {
-		t.Error("streaming insertion lost to the racing Put")
-	}
-	// Reservation released: both paths work again.
-	if m.BeginPut("f1") == nil {
-		t.Error("reservation not released by Commit")
+	if st := m.Stats(); st.Entries != 1 || st.BytesResident != batchOfRows(2).Bytes() {
+		t.Errorf("stats after two fills = %+v", st)
 	}
 }
 
-func TestAbortReleasesReservation(t *testing.T) {
+// TestAbandonedFillBlocksNothing: a fill that took its ticket and never
+// finished leaves no entry and holds nothing against later fills.
+func TestAbandonedFillBlocksNothing(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	p.Append(batchOfRows(3))
-	p.Abort()
+	_ = m.Gen() // a flight starts, then is abandoned before its Put
 	if _, ok := m.Get("f1", FullSpan()); ok {
-		t.Error("aborted insertion left an entry")
+		t.Error("abandoned fill left an entry")
 	}
-	p2 := m.BeginPut("f1")
-	if p2 == nil {
-		t.Error("reservation not released by Abort")
-	}
-	p2.Abort()
-	m.Put("f1", batchOfRows(1), FullSpan())
+	m.Put("f1", one(batchOfRows(1)), FullSpan(), m.Gen())
 	if _, ok := m.Get("f1", FullSpan()); !ok {
-		t.Error("Put blocked after Abort")
+		t.Error("Put blocked after an abandoned fill")
 	}
 }
 
-func TestNilPendingIsSafe(t *testing.T) {
-	never := New(Config{Policy: NeverCache})
-	p := never.BeginPut("f1")
-	if p != nil {
-		t.Fatal("NeverCache manager handed out a pending insertion")
-	}
-	p.Append(batchOfRows(1)) // must not panic
-	p.Commit(FullSpan())
-	p.Abort()
-	var nilMgr *Manager
-	if nilMgr.BeginPut("x") != nil {
-		t.Error("nil manager handed out a pending insertion")
-	}
-}
-
+// TestEmptyCommitStoresNothing: a file-granular fill that extracted no
+// batches leaves no entry.
 func TestEmptyCommitStoresNothing(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	p.Commit(FullSpan())
+	m.Put("f1", nil, FullSpan(), m.Gen())
 	if st := m.Stats(); st.Entries != 0 {
-		t.Errorf("empty commit stored %d entries", st.Entries)
+		t.Errorf("empty fill stored %d entries", st.Entries)
 	}
 }
 
 func TestDropInvalidatesPendingInsert(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	p.Append(batchOfRows(3))
+	since := m.Gen()
 	// The underlying file changed mid-stream: the drop must win.
 	m.Drop("f1")
-	p.Commit(FullSpan())
+	m.Put("f1", one(batchOfRows(3)), FullSpan(), since)
 	if _, ok := m.Get("f1", FullSpan()); ok {
-		t.Error("Commit resurrected a dropped URI")
+		t.Error("a fill begun before Drop resurrected the URI")
 	}
-	// The reservation is gone too: a fresh stream can start.
-	p2 := m.BeginPut("f1")
-	if p2 == nil {
-		t.Fatal("drop did not release the reservation")
+	// A fill of another URI begun before the drop is unaffected.
+	m.Put("f2", one(batchOfRows(3)), FullSpan(), since)
+	if !m.Contains("f2", FullSpan()) {
+		t.Error("Drop of f1 voided a fill of f2")
 	}
-	p2.Append(batchOfRows(1))
-	p2.Commit(FullSpan())
-	if b, ok := m.Get("f1", FullSpan()); !ok || b.Len() != 1 {
-		t.Error("fresh stream after drop failed")
+	// A fresh fill after the drop works.
+	m.Put("f1", one(batchOfRows(1)), FullSpan(), m.Gen())
+	if b, ok := m.Get("f1", FullSpan()); !ok || rows(b) != 1 {
+		t.Error("fresh fill after drop failed")
 	}
 }
 
 func TestClearInvalidatesPendingInserts(t *testing.T) {
 	m := New(Config{Policy: LRU, Granularity: FileGranular})
-	p := m.BeginPut("f1")
-	p.Append(batchOfRows(3))
+	since := m.Gen()
 	m.Clear()
-	p.Commit(FullSpan())
+	m.Put("f1", one(batchOfRows(3)), FullSpan(), since)
 	if st := m.Stats(); st.Entries != 0 {
 		t.Errorf("pending insert repopulated a cleared cache: %d entries", st.Entries)
 	}
@@ -341,8 +303,8 @@ func TestOnInvalidateHook(t *testing.T) {
 	fired := 0
 	m.SetOnInvalidate(func() { fired++ })
 
-	m.Put("f1", batchOfRows(3), FullSpan())
-	m.Put("f2", batchOfRows(3), FullSpan()) // evicts f1 (budget of 1 byte)
+	m.Put("f1", one(batchOfRows(3)), FullSpan(), m.Gen())
+	m.Put("f2", one(batchOfRows(3)), FullSpan(), m.Gen()) // evicts f1 (budget of 1 byte)
 	m.Get("f1", FullSpan())
 	if st := m.Stats(); st.Evictions == 0 {
 		t.Fatal("test setup: no eviction happened")

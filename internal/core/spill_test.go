@@ -28,7 +28,9 @@ func spillOpts(dir string, par int) Options {
 // with flight spilling forced on (threshold 1 byte, budget smaller than
 // any decoded file) every query answer is byte-identical to a spill-off
 // engine's, at serial and parallel mount scheduling, cold and hot — and
-// the spilling engine really did go out of core.
+// the spilling engine really did go out of core. (Whether a cursor
+// replays from disk here depends on scheduling; the mount service's
+// TestSpillReplayIdenticalToMemory pins the replay read.)
 func TestSpillDifferentialByteIdentical(t *testing.T) {
 	m := testRepo(t)
 	for _, par := range []int{1, 8} {
@@ -42,7 +44,7 @@ func TestSpillDifferentialByteIdentical(t *testing.T) {
 			}
 		}
 		st := spill.MountService().Stats()
-		if st.SpilledFlights == 0 || st.SpilledBytes == 0 || st.SpillReplayReads == 0 {
+		if st.SpilledFlights == 0 || st.SpilledBytes == 0 {
 			t.Fatalf("parallelism %d: spilling engine never spilled: %+v", par, st)
 		}
 		if st.InFlightBytes != 0 || st.ReplayBytes != 0 {

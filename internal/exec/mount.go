@@ -19,24 +19,33 @@ import (
 // record batch as it arrives, and tuple-granular cache retention of the
 // rows that survived it. Mounted data is a dangling partial table: it
 // vanishes with the query unless the cache policy retains it.
+//
+// A cache-scan is a mountOp too: it first serves copy-on-write shares
+// of the ingestion cache's entry (no copy; the fused predicate applies
+// the same way), and if the entry was evicted between planning and
+// execution it records the fallback and mounts the file afresh.
 type mountOp struct {
 	node    *plan.Mount
 	env     *Env
 	adapter catalog.FormatAdapter
 	schema  []plan.ColInfo
 
-	cur      mountsvc.Cursor
-	started  bool
-	finished bool
+	cur       mountsvc.Cursor
+	started   bool
+	finished  bool
+	cacheScan bool
 
-	// Tuple-granular retention: the filtered rows and the span they
-	// cover, inserted only after the stream fully drains (a partial
-	// entry would serve wrong answers to later queries).
-	retain     *Materialized
+	// Tuple-granular retention: shares of the filtered rows, the span
+	// they cover and the fill's cache ticket, put only after the stream
+	// fully drains (a partial entry would serve wrong answers to later
+	// queries).
+	retaining  bool
+	retain     []*vector.Batch
 	retainSpan cache.Span
+	retainGen  uint64
 }
 
-func newMount(n *plan.Mount, env *Env) (Operator, error) {
+func newMount(n *plan.Mount, env *Env) (*mountOp, error) {
 	ad, ok := env.Adapters.Get(n.Adapter)
 	if !ok {
 		return nil, fmt.Errorf("exec: mount with unknown adapter %s", n.Adapter)
@@ -47,7 +56,8 @@ func newMount(n *plan.Mount, env *Env) (Operator, error) {
 // Schema implements Operator.
 func (m *mountOp) Schema() []plan.ColInfo { return m.schema }
 
-// start attaches the cursor to the mount service.
+// start attaches the cursor to the cache entry of a cache-scan, or to
+// the mount service.
 func (m *mountOp) start() error {
 	span := cache.FullSpan()
 	if m.node.Pred != nil {
@@ -55,11 +65,28 @@ func (m *mountOp) start() error {
 			span = cache.Span{Lo: sp.Lo, Hi: sp.Hi}
 		}
 	}
+	if m.cacheScan {
+		cached, ok := m.env.Cache.Get(m.node.URI, span)
+		m.env.addMountStats(func(ms *MountStats) {
+			if ok {
+				ms.CacheHits++
+			} else {
+				// Evicted since rule (1) decided f ∈ C: recorded so
+				// benchmark numbers can't misattribute cache efficacy.
+				ms.CacheFallbacks++
+			}
+		})
+		if ok {
+			m.cur = mountsvc.NewStaticCursor(cached, m.env.batchSize())
+			return nil
+		}
+	}
 	if m.env.Cache != nil &&
 		m.env.Cache.Config().Policy != cache.NeverCache &&
 		m.env.Cache.Config().Granularity == cache.TupleGranular {
-		m.retain = &Materialized{Schema: m.schema}
+		m.retaining = true
 		m.retainSpan = span
+		m.retainGen = m.env.Cache.Gen()
 	}
 	env := m.env
 	cur, err := env.service().Mount(mountsvc.Request{
@@ -113,11 +140,9 @@ func (m *mountOp) Next() (*vector.Batch, error) {
 		}
 		if b == nil {
 			m.finished = true
-			if m.retain != nil {
-				// Put takes its own share of the flattened retention
-				// batches; no deep copy is needed even when Flatten
-				// returned an emitted batch itself.
-				m.env.Cache.Put(m.node.URI, m.retain.Flatten(), m.retainSpan)
+			if m.retaining {
+				m.env.Cache.Put(m.node.URI, m.retain, m.retainSpan, m.retainGen)
+				m.retaining, m.retain = false, nil
 			}
 			return nil, nil
 		}
@@ -136,11 +161,11 @@ func (m *mountOp) Next() (*vector.Batch, error) {
 				filtered = b.Gather(sel)
 			}
 		}
-		if m.retain != nil && filtered.Len() > 0 {
+		if m.retaining && filtered.Len() > 0 {
 			// The retention buffer is a second owner of these rows: it
 			// keeps its own handle so downstream mutations of the emitted
 			// batch cannot reach the future cache entry.
-			m.retain.Batches = append(m.retain.Batches, filtered.Share())
+			m.retain = append(m.retain, filtered.Share())
 		}
 		if filtered.Len() == 0 {
 			continue
@@ -153,125 +178,26 @@ func (m *mountOp) Next() (*vector.Batch, error) {
 // tuple-granular retention (the entry would be incomplete) and detaches
 // from the flight without affecting other queries riding it.
 func (m *mountOp) Close() error {
-	m.retain = nil
+	m.retaining, m.retain = false, nil
 	if m.cur != nil {
 		return m.cur.Close()
 	}
 	return nil
 }
 
-// cacheScanOp serves previously mounted data from the ingestion cache.
-// If the entry was evicted between planning and execution it records the
-// fallback and streams a fresh mount instead.
-type cacheScanOp struct {
-	node   *plan.CacheScan
-	env    *Env
-	schema []plan.ColInfo
-
-	started  bool
-	fallback Operator
-
-	out *vector.Batch
-	pos int
-}
-
 func newCacheScan(n *plan.CacheScan, env *Env) (Operator, error) {
 	if env.Cache == nil {
 		return nil, fmt.Errorf("exec: cache-scan of %s without a cache", n.URI)
 	}
-	return &cacheScanOp{node: n, env: env, schema: n.Schema()}, nil
-}
-
-// Schema implements Operator.
-func (c *cacheScanOp) Schema() []plan.ColInfo { return c.schema }
-
-// Next implements Operator.
-func (c *cacheScanOp) Next() (*vector.Batch, error) {
-	if !c.started {
-		if err := c.load(); err != nil {
-			return nil, err
-		}
-		c.started = true
+	m, err := newMount(&plan.Mount{
+		URI: n.URI, Adapter: n.Adapter, Binding: n.Binding, Def: n.Def,
+		Pred: n.Pred, EstBytes: n.EstBytes,
+	}, env)
+	if err != nil {
+		return nil, err
 	}
-	if c.fallback != nil {
-		return c.fallback.Next()
-	}
-	return emitChunk(c.out, &c.pos, c.env.batchSize()), nil
-}
-
-func (c *cacheScanOp) load() error {
-	need := cache.FullSpan()
-	var spanCol string
-	if ad, ok := c.env.Adapters.Get(c.node.Adapter); ok {
-		spanCol = ad.DataSpanColumn()
-	}
-	if c.node.Pred != nil && spanCol != "" {
-		if sp, ok := predSpan(c.node.Pred, c.node.Binding, spanCol); ok {
-			need = cache.Span{Lo: sp.Lo, Hi: sp.Hi}
-		}
-	}
-	cached, ok := c.env.Cache.Get(c.node.URI, need)
-	if !ok {
-		// Evicted since rule (1) decided f ∈ C: fall back to a streaming
-		// mount, and record the miss so benchmark numbers can't
-		// misattribute cache efficacy.
-		c.env.addMountStats(func(ms *MountStats) {
-			ms.CacheFallbacks++
-		})
-		mountNode := &plan.Mount{
-			URI: c.node.URI, Adapter: c.node.Adapter,
-			Binding: c.node.Binding, Def: c.node.Def, Pred: c.node.Pred,
-			EstBytes: c.node.EstBytes,
-		}
-		op, err := newMount(mountNode, c.env)
-		if err != nil {
-			return err
-		}
-		c.fallback = op
-		return nil
-	}
-	c.env.addMountStats(func(ms *MountStats) {
-		ms.CacheHits++
-	})
-	// cached is a copy-on-write share of the entry: serving it (chunked
-	// by emitChunk below) costs no copy, and a consumer mutating the
-	// served rows materializes its own storage without touching the
-	// cache.
-	filtered := cached
-	if c.node.Pred != nil {
-		pv, err := c.node.Pred.Eval(cached)
-		if err != nil {
-			return err
-		}
-		sel := vector.SelFromBools(pv)
-		if len(sel) != cached.Len() {
-			filtered = cached.Gather(sel)
-		}
-	}
-	c.out = filtered
-	return nil
-}
-
-// Close implements Operator.
-func (c *cacheScanOp) Close() error {
-	if c.fallback != nil {
-		return c.fallback.Close()
-	}
-	return nil
-}
-
-// emitChunk slices the materialized batch into batch-sized outputs.
-func emitChunk(out *vector.Batch, pos *int, size int) *vector.Batch {
-	if out == nil || *pos >= out.Len() {
-		return nil
-	}
-	hi := *pos + size
-	if hi > out.Len() {
-		hi = out.Len()
-	}
-	b := out.Slice(*pos, hi)
-	*pos = hi
-	return b
+	m.cacheScan = true
+	return m, nil
 }
 
 // PredSpan exposes span extraction to the engine layer: it returns the

@@ -203,8 +203,8 @@ func TestFileGranularCachePutsWholeFile(t *testing.T) {
 	if !ok {
 		t.Fatal("file not cached")
 	}
-	if cached.Len() != 1000 {
-		t.Errorf("cached %d rows, want the full 1000", cached.Len())
+	if n := (&Materialized{Batches: cached}).Rows(); n != 1000 {
+		t.Errorf("cached %d rows, want the full 1000", n)
 	}
 }
 
@@ -265,7 +265,7 @@ func TestCachedEntrySurvivesDownstreamMutation(t *testing.T) {
 	if !ok {
 		t.Fatal("file not cached")
 	}
-	wantFirst := entry.Cols[3].Float64s()[0]
+	wantFirst := entry[0].Cols[3].Float64s()[0]
 
 	cs := &plan.CacheScan{URI: m.Files[0].URI, Adapter: seismic.AdapterName, Binding: "D", Def: def}
 	// A descending sort over the cache-scan reorders every row.
@@ -284,10 +284,13 @@ func TestCachedEntrySurvivesDownstreamMutation(t *testing.T) {
 	if !ok {
 		t.Fatal("entry vanished")
 	}
-	if got := entry2.Cols[3].Float64s()[0]; got != wantFirst {
+	if got := entry2[0].Cols[3].Float64s()[0]; got != wantFirst {
 		t.Fatalf("cached entry corrupted: first value %v, want %v", got, wantFirst)
 	}
-	ts := entry2.Cols[2].Int64s()
+	var ts []int64
+	for _, b := range entry2 {
+		ts = append(ts, b.Cols[2].Int64s()...)
+	}
 	for i := 1; i < len(ts); i++ {
 		if ts[i] < ts[i-1] {
 			t.Fatal("cached entry row order changed by downstream sort")

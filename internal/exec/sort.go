@@ -3,6 +3,7 @@ package exec
 import (
 	"sort"
 
+	"repro/internal/mountsvc"
 	"repro/internal/plan"
 	"repro/internal/vector"
 )
@@ -18,9 +19,7 @@ type sortOp struct {
 	child Operator
 	keys  []plan.SortKey
 	env   *Env
-	out   *vector.Batch
-	done  bool
-	pos   int
+	out   mountsvc.Cursor // the sorted rows, set once the input is drained
 }
 
 // Schema implements Operator.
@@ -28,7 +27,7 @@ func (s *sortOp) Schema() []plan.ColInfo { return s.child.Schema() }
 
 // Next implements Operator.
 func (s *sortOp) Next() (*vector.Batch, error) {
-	if !s.done {
+	if s.out == nil {
 		mat := &Materialized{Schema: s.child.Schema()}
 		for {
 			b, err := s.child.Next()
@@ -61,10 +60,9 @@ func (s *sortOp) Next() (*vector.Batch, error) {
 			return false
 		})
 		all.Permute(idx)
-		s.out = all
-		s.done = true
+		s.out = mountsvc.NewStaticCursor([]*vector.Batch{all}, s.env.batchSize())
 	}
-	return emitChunk(s.out, &s.pos, s.env.batchSize()), nil
+	return s.out.Next()
 }
 
 // Close implements Operator.

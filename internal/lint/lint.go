@@ -8,10 +8,11 @@
 //     storage; any write through them is a silent data race. Writes go
 //     through Set / Permute / the Mutable* accessors, which materialize
 //     a private copy first.
-//   - releasecheck: every successful admission.Gate.Acquire and
-//     cache.Manager.BeginPut must be paired with exactly one Release /
-//     Commit-or-Abort on every path — the gate panics on a double
-//     release, and a lost release over-admits forever after.
+//   - releasecheck: every successful admission.Gate.Acquire must be
+//     paired with exactly one Release, and every
+//     storage.CreateSpillFile with exactly one Remove or Adopt, on every
+//     path — the gate panics on a double release, and a lost release
+//     over-admits forever after.
 //   - ctxcheck: context.Background() / context.TODO() in internal/
 //     non-test code silently severs cancellation (admission waits,
 //     flight abandonment); queries must thread the caller's context.

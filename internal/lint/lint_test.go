@@ -15,7 +15,7 @@ import (
 // packages under testdata/src/ carry `// want "regexp"` comments on the
 // lines where diagnostics are expected; a test fails on any unexpected
 // diagnostic and on any unmatched expectation. Fixtures import the
-// engine's real packages (vector, admission, cache, mountsvc), so the
+// engine's real packages (vector, admission, storage, mountsvc), so the
 // analyzers are exercised against the real types they guard.
 
 var (

@@ -15,9 +15,6 @@ import (
 //     continuation, or be registered in a defer. The gate panics on a
 //     double release, so a lost one is pure budget leakage: the gate
 //     over-admits forever after.
-//   - cache.Manager.BeginPut(uri) — the returned Pending holds a
-//     reservation against double-inserts; every path must Commit or
-//     Abort it, or later Puts for the URI are refused forever.
 //   - storage.CreateSpillFile(dir, pattern) — the returned SpillFile
 //     owns an on-disk temp file; every path must settle it with exactly
 //     one Remove (delete) or Adopt (keep), or the file outlives its
@@ -36,37 +33,31 @@ import (
 // annotated //lint:allow releasecheck <reason> at the call site.
 var ReleaseCheck = &Analyzer{
 	Name: "releasecheck",
-	Doc:  "flags admission.Acquire/cache.BeginPut without a Release/Commit/Abort on every path",
+	Doc:  "flags admission.Acquire/storage.CreateSpillFile without a Release/Remove/Adopt on every path",
 	Run:  runReleaseCheck,
 }
 
 const (
 	admissionPkgSuffix = "internal/admission"
-	cachePkgSuffix     = "internal/cache"
 	storagePkgSuffix   = "internal/storage"
 )
 
 type acquireKind int
 
 const (
-	acqGate    acquireKind = iota // Gate.Acquire: release via Gate.Release
-	acqPending                    // Manager.BeginPut: release via Pending.Commit/Abort
-	acqSpill                      // storage.CreateSpillFile: settle via SpillFile.Remove/Adopt
+	acqGate  acquireKind = iota // Gate.Acquire: release via Gate.Release
+	acqSpill                    // storage.CreateSpillFile: settle via SpillFile.Remove/Adopt
 )
 
 func (k acquireKind) String() string {
-	switch k {
-	case acqGate:
+	if k == acqGate {
 		return "admission.Acquire"
-	case acqSpill:
-		return "storage.CreateSpillFile"
 	}
-	return "cache.BeginPut"
+	return "storage.CreateSpillFile"
 }
 
 func runReleaseCheck(pass *Pass) {
 	if pkgPathHasSuffix(pass.Pkg.Types, admissionPkgSuffix) ||
-		pkgPathHasSuffix(pass.Pkg.Types, cachePkgSuffix) ||
 		pkgPathHasSuffix(pass.Pkg.Types, storagePkgSuffix) {
 		return // the defining packages manage their own accounting
 	}
@@ -110,7 +101,7 @@ type acquire struct {
 	kind   acquireKind
 	call   *ast.CallExpr
 	errObj types.Object // Acquire's/CreateSpillFile's error variable, when bound
-	handle types.Object // BeginPut's Pending / CreateSpillFile's SpillFile variable, when bound
+	handle types.Object // CreateSpillFile's SpillFile variable, when bound
 }
 
 // findAcquires locates tracked calls directly in body (not in nested
@@ -129,8 +120,6 @@ func findAcquires(pass *Pass, body *ast.BlockStmt) []*acquire {
 		switch {
 		case methodOn(obj, admissionPkgSuffix, "Gate", "Acquire"):
 			out = append(out, &acquire{kind: acqGate, call: call})
-		case methodOn(obj, cachePkgSuffix, "Manager", "BeginPut"):
-			out = append(out, &acquire{kind: acqPending, call: call})
 		case funcIn(obj, storagePkgSuffix, "CreateSpillFile"):
 			out = append(out, &acquire{kind: acqSpill, call: call})
 		}
@@ -163,13 +152,9 @@ func (s *releaseScan) check(body *ast.BlockStmt) {
 		return
 	}
 	s.bindVars(body)
-	if s.acq.kind == acqPending || s.acq.kind == acqSpill {
+	if s.acq.kind == acqSpill {
 		if s.handleDiscarded(body) {
-			if s.acq.kind == acqPending {
-				s.pass.Reportf(s.acq.call.Pos(), "result of cache.BeginPut is discarded; it must be Commit()ed or Abort()ed")
-			} else {
-				s.pass.Reportf(s.acq.call.Pos(), "result of storage.CreateSpillFile is discarded; it must be Remove()d or Adopt()ed")
-			}
+			s.pass.Reportf(s.acq.call.Pos(), "result of storage.CreateSpillFile is discarded; it must be Remove()d or Adopt()ed")
 			return
 		}
 		if s.acq.handle != nil && s.handleEscapes(body) {
@@ -193,7 +178,7 @@ func (s *releaseScan) check(body *ast.BlockStmt) {
 	}
 }
 
-// bindVars resolves `err := g.Acquire(...)` / `p := m.BeginPut(...)` /
+// bindVars resolves `err := g.Acquire(...)` /
 // `sf, err := storage.CreateSpillFile(...)` binding forms, including
 // the if-init form.
 func (s *releaseScan) bindVars(body *ast.BlockStmt) {
@@ -228,7 +213,7 @@ func (s *releaseScan) bindVars(body *ast.BlockStmt) {
 	})
 }
 
-// handleDiscarded reports a BeginPut or CreateSpillFile whose handle is
+// handleDiscarded reports a CreateSpillFile whose handle is
 // dropped on the floor (expression statement or blank assignment,
 // including the two-value `_, err :=` form).
 func (s *releaseScan) handleDiscarded(body *ast.BlockStmt) bool {
@@ -252,7 +237,7 @@ func (s *releaseScan) handleDiscarded(body *ast.BlockStmt) bool {
 	return discarded
 }
 
-// handleEscapes reports whether the Pending handle leaves the
+// handleEscapes reports whether the SpillFile handle leaves the
 // function's sight: captured by a closure, passed as an argument,
 // returned, aliased to another variable, or stored into a field or
 // composite literal.
@@ -477,20 +462,18 @@ func (s *releaseScan) scanStmt(stmt ast.Stmt, st relState) (relState, bool) {
 // scanIf understands the error-guard idiom on the acquisition's error:
 // the `err != nil` branch is the failure path, where nothing is held.
 func (s *releaseScan) scanIf(stmt *ast.IfStmt, st relState) (relState, bool) {
-	if s.acq.kind == acqGate || s.acq.kind == acqSpill {
-		switch guardKind(s, stmt.Cond) {
-		case guardFailure: // if err != nil { ... }: skip the failure body
-			if stmt.Else != nil {
-				return s.scanStmt(stmt.Else, st)
-			}
-			return st, false
-		case guardSuccess: // if err == nil { ... }: the success path is the body
-			s.scanList(stmt.Body.List, st)
-			// Whatever follows the if runs only on the failure path (or
-			// after a released success body); the obligation is settled.
-			st.released = true
-			return st, false
+	switch guardKind(s, stmt.Cond) {
+	case guardFailure: // if err != nil { ... }: skip the failure body
+		if stmt.Else != nil {
+			return s.scanStmt(stmt.Else, st)
 		}
+		return st, false
+	case guardSuccess: // if err == nil { ... }: the success path is the body
+		s.scanList(stmt.Body.List, st)
+		// Whatever follows the if runs only on the failure path (or
+		// after a released success body); the obligation is settled.
+		st.released = true
+		return st, false
 	}
 	bodySt, bodyTerm := s.scanList(stmt.Body.List, st)
 	elseSt, elseTerm := st, false
@@ -583,15 +566,11 @@ func guardKind(s *releaseScan, cond ast.Expr) guard {
 // callReleases reports whether the call itself is the pairing release.
 func callReleases(s *releaseScan, call *ast.CallExpr) bool {
 	obj := calleeOf(s.pass.Pkg.Info, call)
-	switch s.acq.kind {
-	case acqGate:
+	if s.acq.kind == acqGate {
 		return methodOn(obj, admissionPkgSuffix, "Gate", "Release")
-	case acqSpill:
-		return methodOn(obj, storagePkgSuffix, "SpillFile", "Remove") ||
-			methodOn(obj, storagePkgSuffix, "SpillFile", "Adopt")
 	}
-	return methodOn(obj, cachePkgSuffix, "Pending", "Commit") ||
-		methodOn(obj, cachePkgSuffix, "Pending", "Abort")
+	return methodOn(obj, storagePkgSuffix, "SpillFile", "Remove") ||
+		methodOn(obj, storagePkgSuffix, "SpillFile", "Adopt")
 }
 
 // spawnedCallReleases reports whether a deferred or go'd call performs
@@ -674,11 +653,8 @@ func (s *releaseScan) reportExit(at token.Pos, how string) {
 }
 
 func (s *releaseScan) releaseName() string {
-	switch s.acq.kind {
-	case acqGate:
+	if s.acq.kind == acqGate {
 		return "Release (or a defer holding it)"
-	case acqSpill:
-		return "Remove or Adopt (or a defer holding it)"
 	}
-	return "Commit or Abort (or a defer holding it)"
+	return "Remove or Adopt (or a defer holding it)"
 }

@@ -1,7 +1,7 @@
 // Package releasefix seeds releasecheck violations: admission
-// acquisitions and cache reservations leaked on some path, plus the
-// allowed patterns (defers, all-paths releases, escapes, wrappers and
-// the //lint:allow escape hatch).
+// acquisitions leaked on some path, plus the allowed patterns (defers,
+// all-paths releases, wrappers and the //lint:allow escape hatch).
+// Handle escapes are seeded in spillfix.
 package releasefix
 
 import (
@@ -9,7 +9,6 @@ import (
 	"errors"
 
 	"repro/internal/admission"
-	"repro/internal/cache"
 )
 
 func work() {}
@@ -45,19 +44,6 @@ func leakOnPanic(g *admission.Gate, n int64) {
 
 func leakDiscardedError(g *admission.Gate) {
 	_ = g.Acquire(nil, "s", 8) // want `admission.Acquire is not released on every path`
-}
-
-func leakPendingDiscard(m *cache.Manager) {
-	m.BeginPut("file://a") // want `result of cache.BeginPut is discarded`
-}
-
-func leakPendingEarlyReturn(m *cache.Manager, fail bool) error {
-	p := m.BeginPut("file://b") // want `cache.BeginPut is not released on every path`
-	if fail {
-		return errors.New("reservation leaked")
-	}
-	p.Commit(cache.FullSpan())
-	return nil
 }
 
 // --- allowed patterns ---
@@ -97,25 +83,6 @@ func okBothBranches(g *admission.Gate, flag bool) error {
 
 func okWrapper(ctx context.Context, g *admission.Gate) error {
 	return g.Acquire(ctx, "wrapped", 8) // the caller owns the release
-}
-
-func okPendingBothPaths(m *cache.Manager, fail bool) error {
-	p := m.BeginPut("file://c")
-	if fail {
-		p.Abort()
-		return errors.New("aborted")
-	}
-	p.Commit(cache.FullSpan())
-	return nil
-}
-
-func okPendingEscapesByReturn(m *cache.Manager) *cache.Pending {
-	return m.BeginPut("file://d") // the caller owns the reservation
-}
-
-func okPendingEscapesToClosure(m *cache.Manager) func() {
-	p := m.BeginPut("file://e")
-	return func() { p.Abort() } // the closure owns the reservation
 }
 
 func okAllowed(g *admission.Gate) error {

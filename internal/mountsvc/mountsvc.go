@@ -8,8 +8,8 @@
 //
 //   - Single-flight mounting: concurrent requests for the same (uri,
 //     span) coalesce onto one extraction ("flight") whose record batches
-//     are fanned out to every waiter and, per cache policy, streamed
-//     into the ingestion cache. Joining is span-containment aware: a
+//     are fanned out to every waiter and, per cache policy, put into
+//     the ingestion cache once the file is complete. Joining is span-containment aware: a
 //     request may ride any in-progress flight whose extraction span
 //     covers its own.
 //   - Streaming extraction: flights drive the adapter's MountStream
@@ -25,8 +25,8 @@
 //     whole budget against interactive explorers.
 //   - Cancel-aware flights: a flight refcounts its live cursors; when
 //     every waiter has closed or drained, an extraction still running is
-//     stopped at the next batch boundary, its budget released and any
-//     pending cache fill aborted — a fully abandoned query stops paying
+//     stopped at the next batch boundary, its budget released and its
+//     cache fill dropped — a fully abandoned query stops paying
 //     for data nobody will read.
 //
 // Batches fanned out by cursors are copy-on-write shares of the
@@ -335,13 +335,13 @@ func (s *Service) Mount(req Request) (Cursor, error) {
 	// the whole file; tuple-granular entries hold another query's
 	// filtered rows and stay the planner's business).
 	if s.fileGranular() {
-		if b, ok := s.cfg.Cache.Get(req.URI, span); ok {
+		if batches, ok := s.cfg.Cache.Get(req.URI, span); ok {
 			s.cached++
 			s.fmu.Unlock()
 			if req.Observe != nil {
 				req.Observe(Delta{FromCache: true})
 			}
-			return newStaticCursor(b, req.batchRows()), nil
+			return NewStaticCursor(batches, req.batchRows()), nil
 		}
 	}
 	f := newFlight(req.URI, span, st.Size(), req.Session, s)
@@ -430,12 +430,12 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		}
 	}
 
-	// File-granular retention streams into the cache as batches arrive;
-	// the reservation keeps a concurrent Put from double-inserting.
-	var pending *cache.Pending
-	if s.fileGranular() {
-		pending = s.cfg.Cache.BeginPut(f.uri)
-	}
+	// File-granular retention: the flight keeps its own shares of the
+	// batches it extracts (the replay buffer may spill them) and fills
+	// the cache once the whole file is in. The ticket is taken first, so
+	// a Drop of the URI or a Clear during the extraction voids the fill.
+	fileGranular, since := s.fileGranular(), s.cfg.Cache.Gen()
+	var fill []*vector.Batch
 
 	rows := 0
 	err := req.Adapter.MountStream(path, f.uri, keep, req.batchRows(), func(b *vector.Batch) error {
@@ -445,7 +445,9 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		if s.cfg.OnMount != nil {
 			s.cfg.OnMount(f.uri, b)
 		}
-		pending.Append(b)
+		if fileGranular && b.Len() > 0 {
+			fill = append(fill, b.Share())
+		}
 		rows += b.Len()
 		f.append(b)
 		return nil
@@ -454,16 +456,16 @@ func (s *Service) run(f *flight, req Request, path string, size int64) {
 		// Nobody is left to read (abandonIfUnreferenced removed the
 		// flight from the table, so nobody new can join either): drop the
 		// partial cache fill and release the budget.
-		pending.Abort()
 		finish(nil)
 		return
 	}
 	if err != nil {
-		pending.Abort()
 		finish(err)
 		return
 	}
-	pending.Commit(cache.FullSpan())
+	if fileGranular {
+		s.cfg.Cache.Put(f.uri, fill, cache.FullSpan(), since)
+	}
 	saved := size - f.admitBytes
 	if saved > 0 {
 		s.fmu.Lock()
@@ -761,12 +763,8 @@ func (f *flight) maybeSpill() {
 			f.mu.Unlock()
 			return
 		}
-		kinds := make([]vector.Kind, toFlush[0].NumCols())
-		for i, c := range toFlush[0].Cols {
-			kinds[i] = c.Kind()
-		}
 		model, clock := svc.diskModel()
-		w := storage.NewBatchWriter(sf.File(), kinds, model, clock)
+		w := storage.NewBatchWriter(sf.File(), model, clock)
 		f.mu.Lock()
 		f.spill, f.spillW = sf, w
 		f.mu.Unlock()
@@ -959,36 +957,39 @@ func (s *Service) noteWaiterCancel() {
 	s.fmu.Unlock()
 }
 
-// staticCursor chunks an already resident batch (a cache entry share).
-// Chunks are copy-on-write slices aliasing the entry's storage: reads
-// are free, and a consumer writing to a chunk materializes a private
-// copy without touching the entry.
+// staticCursor chunks an already resident batch list (a cache entry's
+// shares). Chunks are copy-on-write slices aliasing the entry's storage:
+// reads are free, and a consumer writing to a chunk materializes a
+// private copy without touching the entry.
 type staticCursor struct {
-	b    *vector.Batch
-	pos  int
-	size int
+	batches []*vector.Batch
+	pos     int
+	size    int
 }
 
-func newStaticCursor(b *vector.Batch, size int) *staticCursor {
-	return &staticCursor{b: b, size: size}
+// NewStaticCursor returns a cursor over batches, in chunks of at most
+// size rows.
+func NewStaticCursor(batches []*vector.Batch, size int) Cursor {
+	return &staticCursor{batches: batches, size: size}
 }
 
 // Next implements Cursor.
 func (c *staticCursor) Next() (*vector.Batch, error) {
-	if c.b == nil || c.pos >= c.b.Len() {
+	for len(c.batches) > 0 && c.pos >= c.batches[0].Len() {
+		c.batches, c.pos = c.batches[1:], 0
+	}
+	if len(c.batches) == 0 {
 		return nil, nil
 	}
-	hi := c.pos + c.size
-	if hi > c.b.Len() {
-		hi = c.b.Len()
-	}
-	out := c.b.Slice(c.pos, hi)
+	b := c.batches[0]
+	hi := min(c.pos+c.size, b.Len())
+	out := b.Slice(c.pos, hi)
 	c.pos = hi
 	return out, nil
 }
 
 // Close implements Cursor.
 func (c *staticCursor) Close() error {
-	c.b = nil
+	c.batches = nil
 	return nil
 }

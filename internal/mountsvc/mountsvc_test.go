@@ -114,6 +114,15 @@ func drain(t *testing.T, c Cursor) int {
 	return rows
 }
 
+// rowsOf totals the rows of a batch list.
+func rowsOf(bs []*vector.Batch) int {
+	n := 0
+	for _, b := range bs {
+		n += b.Len()
+	}
+	return n
+}
+
 // drainCount is the goroutine-safe form of drain.
 func drainCount(c Cursor) (int, error) {
 	rows := 0
@@ -460,8 +469,8 @@ func TestFileGranularFlightFillsCacheAndShortCircuits(t *testing.T) {
 	if got := drain(t, cur); got != 40 {
 		t.Errorf("rows = %d, want the full 40 under file-granular caching", got)
 	}
-	if b, ok := mgr.Get("a.slow", cache.FullSpan()); !ok || b.Len() != 40 {
-		t.Fatalf("flight did not stream the whole file into the cache")
+	if bs, ok := mgr.Get("a.slow", cache.FullSpan()); !ok || rowsOf(bs) != 40 {
+		t.Fatalf("flight did not put the whole file into the cache")
 	}
 
 	// A second request is served from the cache without extracting.
@@ -482,6 +491,79 @@ func TestFileGranularFlightFillsCacheAndShortCircuits(t *testing.T) {
 	}
 	if ad.extractions.Load() != 1 || fromCache.Load() != 1 {
 		t.Errorf("extractions=%d fromCache=%d, want 1 and 1", ad.extractions.Load(), fromCache.Load())
+	}
+}
+
+// TestInvalidationDuringFlightKeepsFillOut: a Drop of the URI, or a
+// Clear, while a file-granular flight is extracting voids its cache
+// fill — the flight's waiters still get every row, but the file is not
+// cached and the next request extracts it afresh.
+func TestInvalidationDuringFlightKeepsFillOut(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		invalidate func(*cache.Manager)
+	}{
+		{"drop", func(m *cache.Manager) { m.Drop("a.slow") }},
+		{"clear", func(m *cache.Manager) { m.Clear() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ad := &slowAdapter{nBatches: 4, batchLen: 10, stepGate: make(chan struct{}, 4)}
+			dir := testFiles(t, map[string]int{"a.slow": 1 << 12})
+			mgr := cache.New(cache.Config{Policy: cache.LRU, Granularity: cache.FileGranular})
+			svc := New(Config{RepoDir: dir, Cache: mgr})
+			cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ad.stepGate <- struct{}{}
+			if b, err := cur.Next(); err != nil || b == nil {
+				t.Fatalf("first batch: %v %v", b, err)
+			}
+			tc.invalidate(mgr) // the file changed mid-extraction
+			for i := 0; i < 3; i++ {
+				ad.stepGate <- struct{}{}
+			}
+			if got := 10 + drain(t, cur); got != 40 {
+				t.Fatalf("waiter got %d rows, want 40", got)
+			}
+			// The cursor ends only after the flight finished, so its fill
+			// has been offered to the cache by now.
+			if _, ok := mgr.Get("a.slow", cache.FullSpan()); ok {
+				t.Fatal("a fill begun before the invalidation was cached")
+			}
+			for i := 0; i < 4; i++ {
+				ad.stepGate <- struct{}{}
+			}
+			cur2, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drain(t, cur2); got != 40 || ad.extractions.Load() != 2 {
+				t.Fatalf("re-mount: %d rows, %d extractions; want 40 and 2", got, ad.extractions.Load())
+			}
+			if bs, ok := mgr.Get("a.slow", cache.FullSpan()); !ok || rowsOf(bs) != 40 {
+				t.Fatal("the fresh flight's fill was not cached")
+			}
+		})
+	}
+}
+
+// TestEmptyFileFillsNoEntry: a file-granular flight over a file with no
+// rows leaves no cache entry.
+func TestEmptyFileFillsNoEntry(t *testing.T) {
+	ad := &slowAdapter{nBatches: 0, batchLen: 10}
+	dir := testFiles(t, map[string]int{"a.slow": 1 << 12})
+	mgr := cache.New(cache.Config{Policy: cache.LRU, Granularity: cache.FileGranular})
+	svc := New(Config{RepoDir: dir, Cache: mgr})
+	cur, err := svc.Mount(Request{URI: "a.slow", Adapter: ad, Span: cache.FullSpan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(t, cur); got != 0 {
+		t.Fatalf("rows = %d, want 0", got)
+	}
+	if st := mgr.Stats(); st.Entries != 0 {
+		t.Fatalf("empty file cached: %+v", st)
 	}
 }
 
@@ -1012,7 +1094,9 @@ func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	bb := spillBatchBytes(t, batchLen)
 	spillDir := t.TempDir()
 	dir := testFiles(t, map[string]int{"a.slow": 2048})
-	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen}
+	// The gate holds the extraction until both cursors are attached, so
+	// the second one always joins the first one's flight.
+	ad := &slowAdapter{nBatches: nBatches, batchLen: batchLen, gate: make(chan struct{})}
 	svc := New(Config{RepoDir: dir, SpillDir: spillDir, SpillThresholdBytes: bb})
 
 	collect := func(cur Cursor) []float64 {
@@ -1036,8 +1120,15 @@ func TestSpillReplayIdenticalToMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(ad.gate)
 	got1 := collect(c1) // mostly rides the live stream
 	got2 := collect(c2) // replays after everything spilled
+	// c2 starts only after the flight finished, and the flight flushed
+	// synchronously once two batches were resident: c2's first batch is
+	// always a read from the spill file.
+	if st := svc.Stats(); st.SpillReplayReads == 0 {
+		t.Errorf("the late cursor replayed nothing from disk: %+v", st)
+	}
 	if len(got1) != nBatches*batchLen || len(got2) != len(got1) {
 		t.Fatalf("rows: %d vs %d, want %d", len(got1), len(got2), nBatches*batchLen)
 	}

@@ -26,6 +26,16 @@ func mat(vals ...int64) *exec.Materialized {
 	}
 }
 
+// matBytes totals a materialization's resident size in the unit the
+// store charges (vector.Batch.Bytes).
+func matBytes(mat *exec.Materialized) int64 {
+	var total int64
+	for _, b := range mat.Batches {
+		total += b.Bytes()
+	}
+	return total
+}
+
 // put stores mat under the current epoch.
 func put(c *Cache, f plan.Fingerprint, mat *exec.Materialized) bool {
 	return c.PutAt(f, mat, c.Epoch(), nil)

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -257,5 +258,56 @@ func TestWarmedEntriesKeepKinds(t *testing.T) {
 	}
 	if got.Schema[0].Name != "s" || got.Schema[3].Kind != vector.KindTime {
 		t.Fatalf("warmed schema mismatch: %+v", got.Schema)
+	}
+}
+
+// TestManifestAdoptsOnlyResultSpillFilesOnce is the manifest-loader
+// regression: an edited manifest naming manifest.json itself, or naming
+// one spill file under two fingerprints, must warm only real result
+// spill files, each once — and probing the bogus entries must not
+// delete the manifest.
+func TestManifestAdoptsOnlyResultSpillFilesOnce(t *testing.T) {
+	dir := t.TempDir()
+	c := New(Config{SpillDir: dir})
+	put(c, fp("a"), mat(1, 2, 3))
+	put(c, fp("b"), mat(4, 5, 6))
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	self := m.Entries[0]
+	self.Fingerprint, self.File = fp("self").String(), "manifest.json"
+	twin := m.Entries[0]
+	twin.Fingerprint = fp("twin").String()
+	m.Entries = append(m.Entries, self, twin)
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := New(Config{SpillDir: dir})
+	st := c2.Stats()
+	if st.WarmedFromDisk != 2 || st.DiskEntries != 2 || st.BytesOnDisk != m.Entries[0].Bytes+m.Entries[1].Bytes {
+		t.Fatalf("reopened stats = %+v, want the 2 real files counted once", st)
+	}
+	for _, key := range []string{"self", "twin"} {
+		if _, ok := c2.Get(fp(key)); ok {
+			t.Fatalf("bogus manifest entry %s served", key)
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("probing the bogus entries removed the manifest: %v", err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if _, ok := c2.Get(fp(key)); !ok {
+			t.Fatalf("entry %s lost", key)
+		}
 	}
 }

@@ -37,33 +37,20 @@ func checkAnswer(t *testing.T, what string, i int, got *exec.Materialized) {
 	}
 }
 
-// checkIdle pins the ledgers of an idle cache: no entry is between
-// tiers, each tier's byte count is the sum of its entries, and the spill
-// files on disk are exactly the disk tier's.
+// checkIdle pins the ledgers of an idle cache: the disk tier's byte
+// count is the sum of its entries, and the spill files on disk are
+// exactly the disk tier's. (The store's own tests pin the resident
+// ledger and that no entry stays between tiers.)
 func checkIdle(t *testing.T, c *Cache, dir string) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var resident, onDisk int64
-	var want []string
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		resident += el.Value.(*entry).bytes
+	files := c.store.Files()
+	st := c.Stats()
+	var onDisk int64
+	for _, f := range files {
+		onDisk += f.Bytes
 	}
-	for el := c.diskOrder.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		onDisk += e.bytes
-		want = append(want, filepath.Base(e.path))
-	}
-	if resident != c.bytes || onDisk != c.diskBytes {
-		t.Errorf("ledgers: resident %d (entries sum %d), disk %d (entries sum %d)", c.bytes, resident, c.diskBytes, onDisk)
-	}
-	if n := c.order.Len() + c.diskOrder.Len(); n != len(c.entries) {
-		t.Errorf("%d entries, but %d resident + %d spilled", len(c.entries), c.order.Len(), c.diskOrder.Len())
-	}
-	for _, e := range c.entries {
-		if e.el == nil || e.loading != nil {
-			t.Errorf("idle cache has an entry between tiers: %+v", e)
-		}
+	if onDisk != st.BytesOnDisk || len(files) != st.DiskEntries {
+		t.Errorf("disk ledger: %d bytes in %d entries, files sum %d bytes in %d", st.BytesOnDisk, st.DiskEntries, onDisk, len(files))
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -75,11 +62,11 @@ func checkIdle(t *testing.T, c *Cache, dir string) {
 			onDir[de.Name()] = true
 		}
 	}
-	for _, name := range want {
-		if !onDir[name] {
-			t.Errorf("disk-tier entry's file %s is missing", name)
+	for _, f := range files {
+		if !onDir[f.Name] {
+			t.Errorf("disk-tier entry's file %s is missing", f.Name)
 		}
-		delete(onDir, name)
+		delete(onDir, f.Name)
 	}
 	if len(onDir) != 0 {
 		t.Errorf("%d spill files belong to no disk-tier entry", len(onDir))

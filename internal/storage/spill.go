@@ -117,23 +117,14 @@ type BatchWriter struct {
 	clock   *Clock
 	started bool
 	batches int
-	written int64
 	scratch []byte
 }
 
-// NewBatchWriter returns a writer of the given column schema over w.
-// The header is written lazily with the first frame.
-func NewBatchWriter(w io.Writer, kinds []vector.Kind, model DiskModel, clock *Clock) *BatchWriter {
-	ks := make([]vector.Kind, len(kinds))
-	copy(ks, kinds)
-	return &BatchWriter{w: w, kinds: ks, dictIdx: make(map[string]int64), model: model, clock: clock}
+// NewBatchWriter returns a writer over w. The column schema is the first
+// appended batch's; the header is written lazily with the first frame.
+func NewBatchWriter(w io.Writer, model DiskModel, clock *Clock) *BatchWriter {
+	return &BatchWriter{w: w, dictIdx: make(map[string]int64), model: model, clock: clock}
 }
-
-// Batches returns how many batch frames have been written.
-func (w *BatchWriter) Batches() int { return w.batches }
-
-// BytesWritten returns the total file bytes written so far.
-func (w *BatchWriter) BytesWritten() int64 { return w.written }
 
 func appendUint32(dst []byte, v uint32) []byte {
 	var buf [4]byte
@@ -145,9 +136,28 @@ func (w *BatchWriter) flush(frame []byte) error {
 	if _, err := w.w.Write(frame); err != nil {
 		return fmt.Errorf("storage: write spill frame: %w", err)
 	}
-	w.written += int64(len(frame))
 	w.model.ChargeWrite(w.clock, int64(len(frame)))
 	return nil
+}
+
+// start writes the header before the first frame, taking the schema
+// from the first batch (a file finished without one has no columns).
+func (w *BatchWriter) start(first *vector.Batch) error {
+	if w.started {
+		return nil
+	}
+	w.started = true
+	if first != nil {
+		for _, c := range first.Cols {
+			w.kinds = append(w.kinds, c.Kind())
+		}
+	}
+	hdr := append([]byte{}, spillMagic[:]...)
+	hdr = appendUint32(hdr, uint32(len(w.kinds)))
+	for _, k := range w.kinds {
+		hdr = append(hdr, byte(k))
+	}
+	return w.flush(hdr)
 }
 
 // Append writes one batch as a frame. The batch's column kinds must
@@ -156,19 +166,11 @@ func (w *BatchWriter) Append(b *vector.Batch) error {
 	if b == nil {
 		return errors.New("storage: BatchWriter.Append on nil batch")
 	}
+	if err := w.start(b); err != nil {
+		return err
+	}
 	if b.NumCols() != len(w.kinds) {
 		return fmt.Errorf("storage: spill batch has %d columns, schema has %d", b.NumCols(), len(w.kinds))
-	}
-	if !w.started {
-		w.started = true
-		hdr := append([]byte{}, spillMagic[:]...)
-		hdr = appendUint32(hdr, uint32(len(w.kinds)))
-		for _, k := range w.kinds {
-			hdr = append(hdr, byte(k))
-		}
-		if err := w.flush(hdr); err != nil {
-			return err
-		}
 	}
 
 	// Collect the strings this batch introduces, in code order.
@@ -223,47 +225,56 @@ func (w *BatchWriter) Append(b *vector.Batch) error {
 // Finish writes the end frame. A file without one is either still being
 // written or truncated; readers only treat end-framed files as complete.
 func (w *BatchWriter) Finish() error {
-	if !w.started {
-		w.started = true
-		hdr := append([]byte{}, spillMagic[:]...)
-		hdr = appendUint32(hdr, uint32(len(w.kinds)))
-		for _, k := range w.kinds {
-			hdr = append(hdr, byte(k))
-		}
-		if err := w.flush(hdr); err != nil {
-			return err
-		}
+	if err := w.start(nil); err != nil {
+		return err
 	}
 	frame := []byte{spillFrameEnd}
 	frame = appendUint32(frame, uint32(w.batches))
 	return w.flush(frame)
 }
 
-// WriteBatches writes a complete spill file (header, one frame per
-// batch, end frame) at path, removing any partial file on error.
-func WriteBatches(path string, kinds []vector.Kind, batches []*vector.Batch, model DiskModel, clock *Clock) error {
-	f, err := os.Create(path)
+// WriteSpill writes batches as one complete spill file (header, one
+// frame per batch, end frame) in dir, named by pattern as in
+// os.CreateTemp, and returns its path. On error no file is left behind.
+func WriteSpill(dir, pattern string, batches []*vector.Batch, model DiskModel, clock *Clock) (string, error) {
+	sf, err := CreateSpillFile(dir, pattern)
 	if err != nil {
-		return fmt.Errorf("storage: create spill %s: %w", path, err)
+		return "", err
 	}
-	w := NewBatchWriter(f, kinds, model, clock)
+	w := NewBatchWriter(sf.File(), model, clock)
 	for _, b := range batches {
 		if err := w.Append(b); err != nil {
-			f.Close()
-			os.Remove(path)
-			return err
+			sf.Remove()
+			return "", err
 		}
 	}
 	if err := w.Finish(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
+		sf.Remove()
+		return "", err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return fmt.Errorf("storage: close spill %s: %w", path, err)
+	return sf.Adopt()
+}
+
+// ReadSpill reads a complete spill file back into its batch list. A
+// file without its end frame, or with any undecodable byte, is an error
+// wrapping ErrCorruptSpill.
+func ReadSpill(path string, model DiskModel, clock *Clock) ([]*vector.Batch, error) {
+	r, err := OpenBatchReader(path, model, clock)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer r.Close()
+	var batches []*vector.Batch
+	for {
+		b, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return batches, nil
+		}
+		batches = append(batches, b)
+	}
 }
 
 // BatchReader streams batches back out of a spill file in write order.
@@ -297,8 +308,10 @@ func OpenBatchReader(path string, model DiskModel, clock *Clock) (*BatchReader, 
 		f.Close()
 		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorruptSpill, path)
 	}
+	// The schema must fit in the file: a corrupt count must not allocate.
 	ncols := binary.LittleEndian.Uint32(hdr[8:])
-	if ncols > 1<<16 {
+	fi, err := f.Stat()
+	if err != nil || int64(ncols) > fi.Size()-int64(len(hdr)) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s: implausible column count %d", ErrCorruptSpill, path, ncols)
 	}
@@ -318,16 +331,6 @@ func OpenBatchReader(path string, model DiskModel, clock *Clock) (*BatchReader, 
 	}
 	return &BatchReader{f: f, kinds: kinds, model: model, clock: clock, first: true}, nil
 }
-
-// Kinds returns the file's column schema.
-func (r *BatchReader) Kinds() []vector.Kind {
-	out := make([]vector.Kind, len(r.kinds))
-	copy(out, r.kinds)
-	return out
-}
-
-// Batches returns how many batch frames have been decoded so far.
-func (r *BatchReader) Batches() int { return r.read }
 
 // Close releases the file handle.
 func (r *BatchReader) Close() error { return r.f.Close() }

@@ -98,26 +98,6 @@ func assertBatchesEqual(t *testing.T, want, got []*vector.Batch) {
 	}
 }
 
-func readAll(t *testing.T, path string, model DiskModel, clock *Clock) []*vector.Batch {
-	t.Helper()
-	r, err := OpenBatchReader(path, model, clock)
-	if err != nil {
-		t.Fatalf("OpenBatchReader: %v", err)
-	}
-	defer r.Close()
-	var out []*vector.Batch
-	for {
-		b, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next (batch %d): %v", len(out), err)
-		}
-		if b == nil {
-			return out
-		}
-		out = append(out, b)
-	}
-}
-
 // TestSpillRoundTripProperty is the satellite-1 property test: random
 // batches over every vector kind — shared and frozen handles, sliced
 // (selection) windows, NaN/±Inf doubles, empty batches, dictionary
@@ -155,16 +135,19 @@ func TestSpillRoundTripProperty(t *testing.T) {
 			batches = append(batches, b)
 		}
 
-		path := filepath.Join(t.TempDir(), "trip.spill")
 		clock := &Clock{}
-		if err := WriteBatches(path, kinds, batches, SSD(), clock); err != nil {
-			t.Fatalf("trial %d: WriteBatches: %v", trial, err)
+		path, err := WriteSpill(t.TempDir(), "trip-*.spill", batches, SSD(), clock)
+		if err != nil {
+			t.Fatalf("trial %d: WriteSpill: %v", trial, err)
 		}
 		wrote := clock.Elapsed()
 		if wrote <= 0 {
 			t.Errorf("trial %d: writes charged no modeled I/O", trial)
 		}
-		got := readAll(t, path, SSD(), clock)
+		got, err := ReadSpill(path, SSD(), clock)
+		if err != nil {
+			t.Fatalf("trial %d: ReadSpill: %v", trial, err)
+		}
 		if clock.Elapsed() <= wrote {
 			t.Errorf("trial %d: reads charged no modeled I/O", trial)
 		}
@@ -184,7 +167,7 @@ func TestSpillReadWhileWriting(t *testing.T) {
 	}
 	defer sf.Remove()
 	kinds := []vector.Kind{vector.KindString, vector.KindFloat64}
-	w := NewBatchWriter(sf.File(), kinds, NoCost(), nil)
+	w := NewBatchWriter(sf.File(), NoCost(), nil)
 
 	mk := func(seed int64) *vector.Batch {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,8 +219,8 @@ func TestSpillCorruptionDetected(t *testing.T) {
 		vector.NewBatch(randomVector(rng, kinds[0], 64), randomVector(rng, kinds[1], 64)),
 		vector.NewBatch(randomVector(rng, kinds[0], 64), randomVector(rng, kinds[1], 64)),
 	}
-	path := filepath.Join(dir, "good.spill")
-	if err := WriteBatches(path, kinds, batches, NoCost(), nil); err != nil {
+	path, err := WriteSpill(dir, "good-*.spill", batches, NoCost(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
@@ -285,9 +268,9 @@ func TestSpillCorruptionDetected(t *testing.T) {
 // are never allocated.
 func TestSpillHostileFrameLength(t *testing.T) {
 	kinds := []vector.Kind{vector.KindInt64}
-	path := filepath.Join(t.TempDir(), "hostile.spill")
 	batch := vector.NewBatch(vector.FromInt64([]int64{1, 2, 3}))
-	if err := WriteBatches(path, kinds, []*vector.Batch{batch}, NoCost(), nil); err != nil {
+	path, err := WriteSpill(t.TempDir(), "hostile-*.spill", []*vector.Batch{batch}, NoCost(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
